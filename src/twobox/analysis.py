@@ -18,21 +18,30 @@ from conditioned averages by Richardson extrapolation in lam^2.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import ClassicalParams, conditional_mean, fc_match_params, joint_distribution
-from .contextual import ContextualValues
-from .errors import DomainError, ValidationError
+from .classical import (
+    ClassicalParams,
+    _box2,
+    _check_tables,
+    _check_unit_interval,
+    _matched_switching,
+    _signal_average,
+    joint_distribution,
+    joint_tables,
+)
+from .errors import DomainError, TwoBoxError, ValidationError
 from .quantum import (
     MeasurementModel,
     Postselection,
     TwoLevelState,
-    conditional_mean_quantum,
-    postselection_probability,
-    quantum_disturbance,
+    _check_coupling,
+    _conditional_means,
+    _disturbances,
+    _overlap,
+    outcome_tables,
     weak_value,
 )
 
@@ -75,9 +84,6 @@ class ClassicalMatchedProtocol:
             raise DomainError(f"target value undefined or divergent: cos(theta) = {c!r}")
         return 1.0 / c
 
-    def params(self, g: float) -> ClassicalParams:
-        return fc_match_params(self.theta, g)
-
     def fixed(self) -> dict:
         return {"theta": self.theta}
 
@@ -90,10 +96,8 @@ class QuantumProtocol:
     theta: float
 
     def __post_init__(self):
-        p1 = float(self.p1)
+        p1 = _check_unit_interval("p1", self.p1)
         theta = float(self.theta)
-        if not math.isfinite(p1) or not 0.0 <= p1 <= 1.0:
-            raise ValidationError(f"p1 must be in [0, 1], got {p1!r}")
         if not math.isfinite(theta):
             raise ValidationError(f"theta must be finite, got {theta!r}")
         object.__setattr__(self, "p1", p1)
@@ -130,46 +134,39 @@ def classical_postselection_shift(params: ClassicalParams) -> float:
 
 def quantum_postselection_shift(i: TwoLevelState, f: TwoLevelState, lam: float) -> float:
     """How far the coupling moves the postselection probability from its lam = 0 value."""
-    model = MeasurementModel(lam)
-    undisturbed = abs(complex(np.conj(f.vector) @ i.vector)) ** 2
-    return abs(postselection_probability(i, model, f) - undisturbed)
+    return float(_quantum_shifts(i, f, MeasurementModel(lam).lam))
 
 
-def _eval_classical(protocol: ClassicalMatchedProtocol, metric: str, g: float) -> float:
-    params = protocol.params(g)
-    if metric == "conditional_mean":
-        return conditional_mean(joint_distribution(params), ContextualValues.symmetric(g), 2)
-    if metric == "conditional_mean_error":
-        mean = conditional_mean(joint_distribution(params), ContextualValues.symmetric(g), 2)
-        return abs(mean - protocol.target)
-    if metric == "postselection_probability":
-        return joint_distribution(params).p_box(2)
-    if metric == "postselection_shift":
-        return classical_postselection_shift(params)
-    raise ValidationError(
-        f"metric {metric!r} is not defined for the classical protocol; "
-        f"choose from {sorted(_CLASSICAL_METRICS)}"
-    )
+def _quantum_shifts(i: TwoLevelState, f: TwoLevelState, lam):
+    undisturbed = abs(f.a1.conjugate() * i.a1 + f.a2.conjugate() * i.a2) ** 2
+    return np.abs(_box2(outcome_tables(i, f, lam)) - undisturbed)
 
 
-def _eval_quantum(protocol: QuantumProtocol, metric: str, lam: float) -> float:
+def _classical_metric(protocol: ClassicalMatchedProtocol, metric: str, g: np.ndarray):
+    q, q0 = _matched_switching(protocol.theta, g)
+    t = _check_tables(joint_tables(1.0, g, q, q0))
+    pf = _box2(t)
+    # p1 = 1, so the undisturbed protocol never ends in box 2 and the shift is P(box 2)
+    if metric in ("postselection_probability", "postselection_shift"):
+        return pf
+    if (pf <= 0.0).any():
+        raise DomainError("postselection never occurs: P(final box 2) = 0")
+    mean = _signal_average(t[..., 0, 1], pf, 1.0 / g, -1.0 / g)
+    return mean if metric == "conditional_mean" else np.abs(mean - protocol.target)
+
+
+def _quantum_metric(protocol: QuantumProtocol, metric: str, lam: np.ndarray):
     i = protocol.preparation
     f = protocol.postselection
-    model = MeasurementModel(lam)
-    if metric == "conditional_mean":
-        return conditional_mean_quantum(i, model, f)
-    if metric == "conditional_mean_error":
-        return abs(conditional_mean_quantum(i, model, f) - protocol.target)
+    lam = _check_coupling(lam)
     if metric == "postselection_probability":
-        return postselection_probability(i, model, f)
+        return _box2(outcome_tables(i, f, lam))
     if metric == "postselection_shift":
-        return quantum_postselection_shift(i, f, lam)
+        return _quantum_shifts(i, f, lam)
     if metric == "quantum_disturbance":
-        return quantum_disturbance(i, model)
-    raise ValidationError(
-        f"metric {metric!r} is not defined for the quantum protocol; "
-        f"choose from {sorted(_QUANTUM_METRICS)}"
-    )
+        return _disturbances(i, lam)
+    mean = _conditional_means(i, f, lam)
+    return mean if metric == "conditional_mean" else np.abs(mean - protocol.target)
 
 
 _CLASSICAL_METRICS = frozenset(
@@ -232,8 +229,36 @@ class SweepResult:
         return int(self.strengths.size)
 
 
-def sweep_metric(protocol, metric: str, strengths, workers: int | None = None) -> SweepResult:
+def _raise_first_failure(evaluate, protocol, metric: str, grid: np.ndarray, whole_grid_error) -> None:
+    """Raise the error a per-point loop over ``grid`` would raise first.
+
+    Every prefix of the grid that holds the first failing point fails and
+    no shorter one does, so bisect on the prefix length.
+    """
+    good, bad = 0, grid.size
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            evaluate(protocol, metric, grid[:mid])
+            good = mid
+        except TwoBoxError:
+            bad = mid
+    try:
+        evaluate(protocol, metric, grid[good:bad])
+    except DomainError as err:
+        x = float(grid[good])
+        raise DomainError(f"{metric} undefined at {protocol.parameter} = {x!r}: {err}") from err
+    raise whole_grid_error  # reached only if some check is not point-wise
+
+
+def sweep_metric(protocol, metric: str, strengths) -> SweepResult:
     """Evaluate one metric at every strength on the grid.
+
+    The whole grid goes through the protocol's array kernel in one call,
+    so there is no worker count (``TWOBOX_WORKERS`` is validated by the CLI
+    but selects nothing). Points are checked as one-at-a-time evaluation
+    would check them, and the error raised is the one the first failing
+    point, in grid order, would raise.
 
     Parameters
     ----------
@@ -243,22 +268,20 @@ def sweep_metric(protocol, metric: str, strengths, workers: int | None = None) -
         One of :func:`metric_names` for the protocol.
     strengths : array_like
         Strictly monotone grid of strengths.
-    workers : int, optional
-        Evaluate grid points in a thread pool of this size. The result is
-        identical for any worker count; points are returned in grid order.
 
     Raises
     ------
     ValidationError
-        For an empty grid or an unknown metric name.
+        For an empty grid, an unknown metric name or a strength out of
+        range.
     DomainError
         If the metric is undefined at some grid point; the message names
         the offending point.
     """
     if isinstance(protocol, ClassicalMatchedProtocol):
-        evaluate = _eval_classical
+        evaluate = _classical_metric
     elif isinstance(protocol, QuantumProtocol):
-        evaluate = _eval_quantum
+        evaluate = _quantum_metric
     else:
         raise ValidationError(f"unknown protocol object {protocol!r}")
     if metric not in metric_names(protocol):
@@ -269,22 +292,14 @@ def sweep_metric(protocol, metric: str, strengths, workers: int | None = None) -
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("strengths must be a nonempty 1-D grid")
 
-    def point(x: float) -> float:
-        x = float(x)
-        try:
-            return float(evaluate(protocol, metric, x))
-        except DomainError as err:
-            raise DomainError(f"{metric} undefined at {protocol.parameter} = {x!r}: {err}") from err
-
-    if workers is None or workers <= 1:
-        values = [point(x) for x in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            values = list(pool.map(point, grid))
+    try:
+        values = evaluate(protocol, metric, grid)
+    except TwoBoxError as err:
+        _raise_first_failure(evaluate, protocol, metric, grid, err)
     return SweepResult(
         parameter=protocol.parameter,
         strengths=grid,
-        values=np.array(values),
+        values=values,
         protocol=protocol.label,
         metric=metric,
         fixed=protocol.fixed(),
@@ -383,9 +398,7 @@ class ProjectorWeakValues:
 
 def projector_weak_values(i: TwoLevelState, f: TwoLevelState) -> ProjectorWeakValues:
     """Weak values <f|b><b|i>/<f|i> of the box projectors, b = 1, 2."""
-    ovl = complex(np.conj(f.vector) @ i.vector)
-    if abs(ovl) <= 1e-14:
-        raise DomainError("undefined weak value (zero overlap between preparation and postselection)")
+    ovl = _overlap(i, f)
     w1 = complex(np.conj(f.a1) * i.a1 / ovl)
     w2 = complex(np.conj(f.a2) * i.a2 / ovl)
     negative = min(w1.real, w2.real) < -1e-12

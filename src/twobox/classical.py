@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contextual import _check_bias
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "ClassicalParams",
     "JointDistribution",
     "joint_distribution",
+    "joint_tables",
     "unconditional_mean",
     "conditional_mean",
     "fc_match_params",
@@ -59,14 +61,24 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
-def _check_bias(g: float) -> float:
-    g = float(g)
-    if not math.isfinite(g) or not 0.0 < g <= 1.0:
-        raise ValidationError(
-            f"detector bias g must be in (0, 1], got {g!r}; "
-            "g = 0 carries no information and is rejected outright"
-        )
-    return g
+def _check_tables(t):
+    """Check a ``(..., 2, 2)`` stack of joint tables and return it clipped at 0.
+
+    Each table must be finite, nonnegative and sum to 1, all within 1e-12;
+    an error names the first failing table.
+    """
+    cells = t.reshape(-1, 4)
+    if not np.isfinite(cells).all():
+        raise ValidationError("joint table entries must be finite")
+    negative = (cells < -1e-12).any(axis=1)
+    if negative.any():
+        table = cells[negative.argmax()].reshape(2, 2)
+        raise ValidationError(f"joint table entries must be nonnegative, got {table.tolist()}")
+    total = cells.sum(axis=1)
+    off = abs(total - 1.0) > 1e-12
+    if off.any():
+        raise ValidationError(f"joint table must sum to 1, got {float(total[off.argmax()])!r}")
+    return np.maximum(t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class ClassicalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p1", _check_unit_interval("p1", self.p1))
-        object.__setattr__(self, "g", _check_bias(self.g))
+        object.__setattr__(self, "g", float(_check_bias(self.g)))
         object.__setattr__(self, "q", _check_unit_interval("q", self.q))
         object.__setattr__(self, "q0", _check_unit_interval("q0", self.q0))
 
@@ -117,14 +129,7 @@ class JointDistribution:
         t = np.array(table, dtype=float)
         if t.shape != (2, 2):
             raise ValidationError(f"joint table must be 2x2, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("joint table entries must be finite")
-        if np.any(t < -1e-12):
-            raise ValidationError(f"joint table entries must be nonnegative, got {t.tolist()}")
-        total = float(t.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"joint table must sum to 1, got {total!r}")
-        np.clip(t, 0.0, None, out=t)
+        t = _check_tables(t)
         t.flags.writeable = False
         self._table = t
 
@@ -146,23 +151,43 @@ class JointDistribution:
         return f"JointDistribution({self._table.tolist()!r})"
 
 
-def joint_distribution(params: ClassicalParams) -> JointDistribution:
-    """Enumerate all eight paths and return the exact joint table.
+def _column(p1, g, q, q0, final_box: int):
+    """P(S, final box) and P(Sbar, final box), each the sum of its two paths, initial box 1 first."""
+    p2 = 1.0 - p1
+    a = (1.0 + g) / 2.0  # P(S | box 1)
+    abar = (1.0 - g) / 2.0  # P(S | box 2)
+    w1, w2 = (q, 1.0 - q) if final_box == 2 else (1.0 - q, q)  # switch weights from box 1, box 2
+    v1, v2 = (q0, 1.0 - q0) if final_box == 2 else (1.0 - q0, q0)
+    return p1 * a * w1 + p2 * abar * w2, p1 * (1.0 - a) * v1 + p2 * (1.0 - abar) * v2
+
+
+def joint_tables(p1, g, q, q0) -> np.ndarray:
+    """Exact joint tables over broadcast parameters, shape ``(..., 2, 2)``, not range-checked.
 
     Each path is (initial box) x (signal or not) x (switch or not); its
     probability is the product of the three stage probabilities, and paths
-    are accumulated by (signal, final box).
+    are accumulated by (signal, final box), rows S and Sbar.
     """
-    a = (1.0 + params.g) / 2.0  # P(S | box 1)
-    abar = (1.0 - params.g) / 2.0  # P(S | box 2)
-    table = np.zeros((2, 2))
-    for box0, w_box in ((1, params.p1), (2, params.p2)):
-        p_sig = a if box0 == 1 else abar
-        for sig, w_sig, p_switch in (("S", p_sig, params.q), ("Sbar", 1.0 - p_sig, params.q0)):
-            for switched, w_sw in ((True, p_switch), (False, 1.0 - p_switch)):
-                final = (3 - box0) if switched else box0
-                table[_SIGNAL_INDEX[sig], _BOX_INDEX[final]] += w_box * w_sig * w_sw
-    return JointDistribution(table)
+    # [()] makes 0-d input numpy scalars, whose arithmetic is much cheaper
+    p1, g, q, q0 = (np.asarray(v, dtype=float)[()] for v in (p1, g, q, q0))
+    cells = (*_column(p1, g, q, q0, 1), *_column(p1, g, q, q0, 2))
+    t = np.empty(np.broadcast(*cells).shape + (2, 2))
+    t[..., 0, 0], t[..., 1, 0], t[..., 0, 1], t[..., 1, 1] = cells
+    return t
+
+
+def joint_distribution(params: ClassicalParams) -> JointDistribution:
+    """The exact joint table of one parameter set; see :func:`joint_tables`."""
+    return JointDistribution(joint_tables(params.p1, params.g, params.q, params.q0))
+
+
+def _box2(t):
+    return t[..., 0, 1] + t[..., 1, 1]
+
+
+def _signal_average(p_signal_f, p_f, alpha_s, alpha_sbar):
+    ps = p_signal_f / p_f
+    return alpha_s * ps + alpha_sbar * (1.0 - ps)
 
 
 def unconditional_mean(dist: JointDistribution, cv) -> float:
@@ -184,8 +209,7 @@ def conditional_mean(dist: JointDistribution, cv, final_box: int = 2) -> float:
     pf = dist.p_box(final_box)
     if pf <= 0.0:
         raise DomainError(f"postselection never occurs: P(final box {final_box}) = 0")
-    ps = dist.p(signal="S", box=final_box) / pf
-    return cv.alpha_s * ps + cv.alpha_sbar * (1.0 - ps)
+    return _signal_average(dist.p(signal="S", box=final_box), pf, cv.alpha_s, cv.alpha_sbar)
 
 
 def fc_match_params(theta: float, g: float) -> ClassicalParams:
@@ -211,39 +235,36 @@ def fc_match_params(theta: float, g: float) -> ClassicalParams:
         Detector bias. Requires g <= cos(theta), otherwise q0 would be
         negative and no valid switch probability exists.
     """
+    q, q0 = _matched_switching(theta, g)
+    return ClassicalParams(p1=1.0, g=g, q=float(q), q0=float(q0))
+
+
+def _matched_switching(theta: float, g) -> tuple:
+    """(q, q0) of :func:`fc_match_params` over a bias array, after its checks; q0 clamped to [0, 1]."""
     g = _check_bias(g)
-    theta = float(theta)
-    c = math.cos(theta)
+    c = math.cos(float(theta))
     if c <= 0.0:
+        raise DomainError(f"target value undefined or divergent: cos(theta) = {c!r} must be positive")
+    unmatched = g > c + 1e-15
+    if unmatched.any():
         raise DomainError(
-            f"target value undefined or divergent: cos(theta) = {c!r} must be positive"
+            "no valid switch probability: requires g <= cos(theta), "
+            f"got g={float(g.flat[unmatched.argmax()])!r}, cos(theta)={c!r}"
         )
-    if g > c + 1e-15:
-        raise DomainError(
-            f"no valid switch probability: requires g <= cos(theta), got g={g!r}, cos(theta)={c!r}"
-        )
-    q = (c + g) / (1.0 + g)
-    q0 = 1.0 if g == 1.0 else (c - g) / (1.0 - g)
-    return ClassicalParams(p1=1.0, g=g, q=q, q0=min(max(q0, 0.0), 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q0 = np.where(g == 1.0, 1.0, (c - g) / (1.0 - g))
+    return (c + g) / (1.0 + g), np.minimum(np.maximum(q0, 0.0), 1.0)
 
 
 def _conditional_mean_surface(p1, q, q0, g):
     """Vectorized box-2 conditional mean with contextual values (+1/g, -1/g).
 
     Broadcasts over ``p1``, ``q`` and ``q0``. Points where final box 2 has
-    probability zero come back NaN instead of raising. Closed form of the
-    same eight-path enumeration used by :func:`joint_distribution`; the two
-    are cross-checked in the test suite.
+    probability zero come back NaN instead of raising. Uses the box-2
+    column of :func:`joint_tables` alone, so a 3-D grid costs no whole tables.
     """
-    p1 = np.asarray(p1, dtype=float)
-    q = np.asarray(q, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
-    p2 = 1.0 - p1
-    a = (1.0 + g) / 2.0
-    abar = (1.0 - g) / 2.0
-    # P(S, box 2) and P(Sbar, box 2)
-    ps2 = p1 * a * q + p2 * abar * (1.0 - q)
-    psb2 = p1 * (1.0 - a) * q0 + p2 * (1.0 - abar) * (1.0 - q0)
+    p1, q, q0 = (np.asarray(v, dtype=float) for v in (p1, q, q0))
+    ps2, psb2 = _column(p1, g, q, q0, 2)
     pf = ps2 + psb2
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = (ps2 - psb2) / (g * pf)
@@ -300,7 +321,7 @@ def min_disturbance_for_value(
     undisturbed protocol produces; conditioning on box 2, max(q, q0) = 0
     forces the conditional mean to exactly -1.
     """
-    g = _check_bias(g)
+    g = float(_check_bias(g))
     v_target = float(v_target)
     if not math.isfinite(v_target):
         raise ValidationError(f"v_target must be finite, got {v_target!r}")

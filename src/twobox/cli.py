@@ -19,8 +19,9 @@ Exit codes: 0 success, 2 malformed config or arguments, 3 well-formed
 request whose answer is undefined (zero-probability postselection,
 orthogonal postselection, divergent target value).
 
-The environment variable ``TWOBOX_WORKERS`` sets the thread count for
-sweep evaluation; output bytes are identical for every worker count.
+The environment variable ``TWOBOX_WORKERS``, when set, must be a positive
+integer; it is validated but no longer selects anything, since sweeps run
+as one array computation.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class _ModeOutcome:
     result: dict
     summary: str
     csv_header: tuple | None = None
-    csv_rows: list | None = None
+    csv_rows: object = None  # callable returning the rows, called only when CSV is written
 
 
 def _number(cfg: dict, key: str, default=_MISSING) -> float:
@@ -122,7 +123,7 @@ def _postselection_state(theta: float) -> TwoLevelState:
     return Postselection(theta % (2.0 * math.pi)).state
 
 
-def _run_classical(cfg: dict, seed, workers) -> _ModeOutcome:
+def _run_classical(cfg: dict, seed) -> _ModeOutcome:
     params = ClassicalParams(
         p1=_number(cfg, "p1"), g=_number(cfg, "g"), q=_number(cfg, "q"), q0=_number(cfg, "q0")
     )
@@ -150,7 +151,7 @@ def _run_classical(cfg: dict, seed, workers) -> _ModeOutcome:
     return _ModeOutcome(result=result, summary=summary)
 
 
-def _run_quantum(cfg: dict, seed, workers) -> _ModeOutcome:
+def _run_quantum(cfg: dict, seed) -> _ModeOutcome:
     i = TwoLevelState.from_occupation(_number(cfg, "p1"))
     theta = _number(cfg, "theta")
     f = _postselection_state(theta)
@@ -180,7 +181,7 @@ def _run_quantum(cfg: dict, seed, workers) -> _ModeOutcome:
     return _ModeOutcome(result=result, summary=summary)
 
 
-def _run_match(cfg: dict, seed, workers) -> _ModeOutcome:
+def _run_match(cfg: dict, seed) -> _ModeOutcome:
     theta = _number(cfg, "theta")
     g = _number(cfg, "g")
     params = fc_match_params(theta, g)
@@ -203,7 +204,7 @@ def _run_match(cfg: dict, seed, workers) -> _ModeOutcome:
     return _ModeOutcome(result=result, summary=summary)
 
 
-def _run_witness(cfg: dict, seed, workers) -> _ModeOutcome:
+def _run_witness(cfg: dict, seed) -> _ModeOutcome:
     i = TwoLevelState.from_occupation(_number(cfg, "p1"))
     f = _postselection_state(_number(cfg, "theta"))
     pw = projector_weak_values(i, f)
@@ -257,13 +258,13 @@ def _protocol_from_config(cfg: dict):
     return QuantumProtocol(p1=_number(cfg, "p1"), theta=_number(cfg, "theta"))
 
 
-def _run_sweep(cfg: dict, seed, workers) -> _ModeOutcome:
+def _run_sweep(cfg: dict, seed) -> _ModeOutcome:
     protocol = _protocol_from_config(cfg)
     metric = cfg.get("metric")
     if not isinstance(metric, str):
         raise ValidationError(f"config key 'metric' must be a string, got {metric!r}")
     grid = _strength_grid(cfg)
-    res = sweep_metric(protocol, metric, grid, workers=workers)
+    res = sweep_metric(protocol, metric, grid)
     points = [
         {"param": float(s), "value": float(v), "stderr": None}
         for s, v in zip(res.strengths, res.values)
@@ -275,7 +276,6 @@ def _run_sweep(cfg: dict, seed, workers) -> _ModeOutcome:
         "fixed": res.fixed,
         "points": points,
     }
-    rows = [(f"{s:.17g}", f"{v:.17g}", res.metric, "") for s, v in zip(res.strengths, res.values)]
     summary = (
         f"sweep: {res.metric} at {len(points)} values of {res.parameter} "
         f"in [{res.strengths.min():.6g}, {res.strengths.max():.6g}]"
@@ -284,11 +284,13 @@ def _run_sweep(cfg: dict, seed, workers) -> _ModeOutcome:
         result=result,
         summary=summary,
         csv_header=("param", "value", "metric", "stderr"),
-        csv_rows=rows,
+        csv_rows=lambda: [
+            (f"{s:.17g}", f"{v:.17g}", res.metric, "") for s, v in zip(res.strengths, res.values)
+        ],
     )
 
 
-def _run_sample(cfg: dict, seed, workers) -> _ModeOutcome:
+def _run_sample(cfg: dict, seed) -> _ModeOutcome:
     if seed is None:
         raise ValidationError("sample mode requires a seed (config key 'seed' or --seed)")
     name = _string(cfg, "protocol", ("classical", "quantum"))
@@ -314,7 +316,10 @@ def _run_sample(cfg: dict, seed, workers) -> _ModeOutcome:
         records = sample_quantum_trace(i, model, f, n, seed) if trace else None
         counts = CountTable.from_records(records) if trace else sample_quantum(i, model, f, n, seed)
     mean, stderr = estimate_conditional_mean(counts, cv, 2)
-    exact_mean = conditional_mean(exact, cv, 2)
+    if name == "classical":
+        exact_mean = conditional_mean(exact, cv, 2)
+    else:
+        exact_mean = conditional_mean_quantum(i, model, f)
     try:
         gof = gof_test(counts, exact)
         gof_doc = {"statistic": gof.statistic, "reject": gof.reject}
@@ -335,12 +340,15 @@ def _run_sample(cfg: dict, seed, workers) -> _ModeOutcome:
     header = None
     if trace:
         header = ("trial", "signal", "final_box")
+        # built now, so that the records are freed before the CSV text is assembled
         rows = [(str(k), rec.signal, str(rec.final_box)) for k, rec in enumerate(records)]
     summary = (
         f"sample: n = {n}, conditional mean {mean:.6g} +/- {stderr:.2g} "
         f"(exact {exact_mean:.6g})"
     )
-    return _ModeOutcome(result=result, summary=summary, csv_header=header, csv_rows=rows)
+    return _ModeOutcome(
+        result=result, summary=summary, csv_header=header, csv_rows=None if rows is None else lambda: rows
+    )
 
 
 _RUNNERS = {
@@ -465,9 +473,9 @@ def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int
     out = out if out is not None else config.get("out")
     if out is not None and (not isinstance(out, str) or not out):
         raise ValidationError(f"output path must be a nonempty string, got {out!r}")
-    workers = _workers_from_env()
+    _workers_from_env()
 
-    outcome = _RUNNERS[mode](config, resolved_seed, workers)
+    outcome = _RUNNERS[mode](config, resolved_seed)
     document = {
         "mode": mode,
         "result": outcome.result,
@@ -486,7 +494,7 @@ def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int
                 f"csv output is not available for mode {mode!r}; "
                 "it applies to sweeps and trial traces"
             )
-        text = _csv_text(outcome.csv_header, outcome.csv_rows)
+        text = _csv_text(outcome.csv_header, outcome.csv_rows())
 
     if out is not None:
         try:

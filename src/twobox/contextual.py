@@ -27,6 +27,18 @@ from .errors import DomainError, ValidationError
 __all__ = ["ContextualValues", "ResponseMatrix", "solve_cv"]
 
 
+def _check_bias(g) -> np.ndarray:
+    """``g`` as floats (a numpy scalar for 0-d input), after checking every detector bias is in (0, 1]."""
+    g = np.asarray(g, dtype=float)[()]
+    bad = ~((g > 0.0) & (g <= 1.0))
+    if bad.any():
+        raise ValidationError(
+            f"detector bias g must be in (0, 1], got {float(g.flat[bad.argmax()])!r}; "
+            "g = 0 carries no information and is rejected outright"
+        )
+    return g
+
+
 @dataclass(frozen=True)
 class ContextualValues:
     """Outcome weights (alpha_s for a signal, alpha_sbar for none)."""
@@ -44,9 +56,7 @@ class ContextualValues:
     @classmethod
     def symmetric(cls, g: float) -> "ContextualValues":
         """Weights (1/g, -1/g) for the symmetric detector with bias g."""
-        g = float(g)
-        if not math.isfinite(g) or not 0.0 < g <= 1.0:
-            raise ValidationError(f"detector bias g must be in (0, 1], got {g!r}")
+        g = float(_check_bias(g))
         return cls(alpha_s=1.0 / g, alpha_sbar=-1.0 / g)
 
     @property
@@ -82,9 +92,7 @@ class ResponseMatrix:
 
     @classmethod
     def symmetric(cls, g: float) -> "ResponseMatrix":
-        g = float(g)
-        if not math.isfinite(g) or not 0.0 < g <= 1.0:
-            raise ValidationError(f"detector bias g must be in (0, 1], got {g!r}")
+        g = float(_check_bias(g))
         a = (1.0 + g) / 2.0
         abar = (1.0 - g) / 2.0
         return cls([[a, abar], [1.0 - a, 1.0 - abar]])

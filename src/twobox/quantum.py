@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import JointDistribution
+from .classical import JointDistribution, _box2, _check_tables, _check_unit_interval, _signal_average
 from .contextual import ContextualValues
 from .errors import DomainError, ValidationError
 
@@ -45,6 +45,7 @@ __all__ = [
     "expectation",
     "weak_value",
     "joint_outcome_probs",
+    "outcome_tables",
     "postselection_probability",
     "conditional_mean_quantum",
     "density_matrix",
@@ -76,9 +77,7 @@ class TwoLevelState:
     @classmethod
     def from_occupation(cls, p1: float) -> "TwoLevelState":
         """Real nonnegative amplitudes (sqrt(p1), sqrt(1 - p1))."""
-        p1 = float(p1)
-        if not math.isfinite(p1) or not 0.0 <= p1 <= 1.0:
-            raise ValidationError(f"p1 must be in [0, 1], got {p1!r}")
+        p1 = _check_unit_interval("p1", p1)
         return cls(a1=math.sqrt(p1), a2=math.sqrt(1.0 - p1))
 
     @property
@@ -109,6 +108,15 @@ class Postselection:
         return TwoLevelState(a1=math.sin(half), a2=math.cos(half))
 
 
+def _check_coupling(lam) -> np.ndarray:
+    """``lam`` as floats (a numpy scalar for 0-d input), after checking every coupling is in [0, 1]."""
+    lam = np.asarray(lam, dtype=float)[()]
+    bad = ~((lam >= 0.0) & (lam <= 1.0))
+    if bad.any():
+        raise ValidationError(f"coupling lam must be in [0, 1], got {float(lam.flat[bad.argmax()])!r}")
+    return lam
+
+
 @dataclass(frozen=True)
 class MeasurementModel:
     """Binary detector with coupling strength ``lam`` in [0, 1]."""
@@ -116,10 +124,7 @@ class MeasurementModel:
     lam: float
 
     def __post_init__(self):
-        lam = float(self.lam)
-        if not math.isfinite(lam) or not 0.0 <= lam <= 1.0:
-            raise ValidationError(f"coupling lam must be in [0, 1], got {lam!r}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", float(_check_coupling(self.lam)))
 
     @property
     def c_plus(self) -> float:
@@ -138,8 +143,12 @@ class MeasurementModel:
         return np.diag([self.c_minus, self.c_plus]).astype(complex)
 
 
-def _overlap(f: TwoLevelState, psi: np.ndarray) -> complex:
-    return complex(np.conj(f.vector) @ psi)
+def _overlap(i: TwoLevelState, f: TwoLevelState) -> complex:
+    """<f|i>, after checking that it is not zero, where weak values are undefined."""
+    ovl = complex(np.conj(f.vector) @ i.vector)
+    if abs(ovl) <= _OVERLAP_FLOOR:
+        raise DomainError("undefined weak value (zero overlap between preparation and postselection)")
+    return ovl
 
 
 def expectation(state: TwoLevelState) -> float:
@@ -156,38 +165,63 @@ def weak_value(i: TwoLevelState, f: TwoLevelState) -> complex:
         If the postselection is orthogonal to the preparation (overlap
         magnitude below 1e-14), where the weak value is undefined.
     """
-    ovl = _overlap(f, i.vector)
-    if abs(ovl) <= _OVERLAP_FLOOR:
-        raise DomainError("undefined weak value (zero overlap between preparation and postselection)")
+    ovl = _overlap(i, f)
     numerator = np.conj(f.a1) * i.a1 - np.conj(f.a2) * i.a2
     return complex(numerator / ovl)
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def outcome_tables(i: TwoLevelState, f: TwoLevelState, lam) -> np.ndarray:
+    """Exact joint tables |<f|M i>|^2 over a coupling array, shape ``lam.shape + (2, 2)``.
+
+    Rows are the Kraus operators of S and Sbar; column box 2 is a successful
+    postselection onto ``f``, column box 1 the orthogonal outcome. The
+    coupling is not range-checked; see :class:`MeasurementModel`.
+    """
+    lam = np.asarray(lam, dtype=float)[()]  # numpy scalar for 0-d input: cheaper arithmetic
+    with np.errstate(invalid="ignore"):
+        c_plus, c_minus = np.sqrt((1.0 + lam) / 2.0), np.sqrt((1.0 - lam) / 2.0)
+    t = np.empty(lam.shape + (2, 2))
+    for row, (c1, c2) in enumerate(((c_plus, c_minus), (c_minus, c_plus))):
+        psi1, psi2 = c1 * i.a1, c2 * i.a2
+        for col, (u1, u2) in enumerate(((-f.a2, f.a1), (f.a1.conjugate(), f.a2.conjugate()))):
+            t[..., row, col] = _abs2(u1 * psi1 + u2 * psi2)
+    return t
 
 
 def joint_outcome_probs(
     i: TwoLevelState, m: MeasurementModel, f: TwoLevelState
 ) -> JointDistribution:
-    """Joint probabilities of (detector outcome, postselection outcome).
-
-    Column box 2 is a successful postselection onto ``f``; column box 1 is
-    the orthogonal outcome. Rows are the signal S and no-signal Sbar, as in
-    the classical engine.
-    """
-    f_vec = f.vector
-    f_perp = np.array([-np.conj(f_vec[1]), np.conj(f_vec[0])], dtype=complex)
-    table = np.zeros((2, 2))
-    for row, kraus in ((0, m.kraus_signal), (1, m.kraus_no_signal)):
-        psi = kraus @ i.vector
-        table[row, 1] = abs(np.conj(f_vec) @ psi) ** 2
-        table[row, 0] = abs(np.conj(f_perp) @ psi) ** 2
-    return JointDistribution(table)
+    """Joint probabilities of (detector outcome, postselection outcome); see :func:`outcome_tables`."""
+    return JointDistribution(outcome_tables(i, f, m.lam))
 
 
 def postselection_probability(i: TwoLevelState, m: MeasurementModel, f: TwoLevelState) -> float:
     """Probability that the postselection onto ``f`` succeeds."""
-    total = 0.0
-    for kraus in (m.kraus_signal, m.kraus_no_signal):
-        total += abs(_overlap(f, kraus @ i.vector)) ** 2
-    return total
+    return float(_box2(outcome_tables(i, f, m.lam)))
+
+
+def _conditional_means(i: TwoLevelState, f: TwoLevelState, lam, cv=None):
+    """Conditional means over a coupling array, after the checks of :func:`conditional_mean_quantum`.
+
+    With the symmetric weights the factor lam divides out exactly, since
+    P(S, f) - P(Sbar, f) = lam (|x|^2 - |y|^2) with x = conj(f1) a1 and
+    y = conj(f2) a2; so the weak limit keeps full precision.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if (lam == 0.0).any():
+        raise DomainError("conditional mean undefined at zero coupling (lam = 0)")
+    t = _check_tables(outcome_tables(i, f, lam))
+    pf = _box2(t)
+    if (pf <= 0.0).any():
+        raise DomainError("postselection never occurs: P(f) = 0")
+    if cv is None:
+        x, y = f.a1.conjugate() * i.a1, f.a2.conjugate() * i.a2
+        return (_abs2(x) - _abs2(y)) / pf
+    return _signal_average(t[..., 0, 1], pf, cv.alpha_s, cv.alpha_sbar)
 
 
 def conditional_mean_quantum(
@@ -209,16 +243,7 @@ def conditional_mean_quantum(
         and the conditional mean is undefined; or when the postselection
         never occurs.
     """
-    if m.lam == 0.0:
-        raise DomainError("conditional mean undefined at zero coupling (lam = 0)")
-    if cv is None:
-        cv = ContextualValues.symmetric(m.lam)
-    dist = joint_outcome_probs(i, m, f)
-    pf = dist.p_box(2)
-    if pf <= 0.0:
-        raise DomainError("postselection never occurs: P(f) = 0")
-    ps = dist.p("S", 2) / pf
-    return cv.alpha_s * ps + cv.alpha_sbar * (1.0 - ps)
+    return float(_conditional_means(i, f, m.lam, cv))
 
 
 def density_matrix(state: TwoLevelState) -> np.ndarray:
@@ -257,13 +282,17 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
+def _disturbances(i: TwoLevelState, lam):
+    lam = np.asarray(lam, dtype=float)
+    return abs(i.a1 * i.a2) * (lam * lam) / (1.0 + np.sqrt(1.0 - lam * lam))
+
+
 def quantum_disturbance(i: TwoLevelState, m: MeasurementModel) -> float:
     """Trace distance between the input state and the measured-and-forgotten state.
 
-    For real amplitudes this equals |a1*a2| * (1 - sqrt(1 - lam^2)), of
-    order lam^2 / 2 in the weak limit: quantum back-action on the
-    unconditioned state is quadratically small in the coupling.
+    This is |a1*a2| * (1 - sqrt(1 - lam^2)), evaluated as |a1*a2| * lam^2 /
+    (1 + sqrt(1 - lam^2)) to keep full precision: of order lam^2 / 2 in the
+    weak limit, quantum back-action on the unconditioned state is
+    quadratically small in the coupling.
     """
-    rho = density_matrix(i)
-    rho_after = unconditioned_post_measurement_state(i, m)
-    return trace_distance(rho, rho_after)
+    return float(_disturbances(i, m.lam))

@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from twobox import (
     ClassicalMatchedProtocol,
+    ContextualValues,
     DomainError,
     MeasurementModel,
     Postselection,
@@ -14,9 +18,13 @@ from twobox import (
     TwoLevelState,
     ValidationError,
     classical_postselection_shift,
+    conditional_mean,
+    conditional_mean_quantum,
     fc_match_params,
     fit_power_law,
+    joint_distribution,
     metric_names,
+    postselection_probability,
     projector_weak_values,
     quantum_disturbance,
     quantum_postselection_shift,
@@ -25,6 +33,53 @@ from twobox import (
     weak_limit_extrapolate,
     weak_value,
 )
+from twobox.analysis import _raise_first_failure
+
+
+def scalar_metric(protocol, metric: str, x: float) -> float:
+    """One grid point through the scalar API."""
+    if isinstance(protocol, ClassicalMatchedProtocol):
+        params = fc_match_params(protocol.theta, x)
+        if metric == "postselection_shift":
+            return classical_postselection_shift(params)
+        dist = joint_distribution(params)
+        if metric == "postselection_probability":
+            return dist.p_box(2)
+        mean = conditional_mean(dist, ContextualValues.symmetric(x), 2)
+    else:
+        i, f, model = protocol.preparation, protocol.postselection, MeasurementModel(x)
+        if metric == "postselection_probability":
+            return postselection_probability(i, model, f)
+        if metric == "postselection_shift":
+            return quantum_postselection_shift(i, f, x)
+        if metric == "quantum_disturbance":
+            return quantum_disturbance(i, model)
+        mean = conditional_mean_quantum(i, model, f)
+    return mean if metric == "conditional_mean" else abs(mean - protocol.target)
+
+
+def point_by_point(protocol, metric: str, grid) -> np.ndarray:
+    """Reference sweep: one scalar evaluation per point, stopping at the first error."""
+    values = []
+    for x in grid:
+        x = float(x)
+        try:
+            values.append(scalar_metric(protocol, metric, x))
+        except DomainError as err:
+            raise DomainError(f"{metric} undefined at {protocol.parameter} = {x!r}: {err}") from err
+    return np.array(values)
+
+
+def assert_sweep_matches_loop(protocol, metric: str, grid) -> None:
+    """Same values bit for bit, or the same error type and message."""
+    try:
+        expected = point_by_point(protocol, metric, grid)
+    except (DomainError, ValidationError) as err:
+        with pytest.raises(type(err)) as got:
+            sweep_metric(protocol, metric, grid)
+        assert str(got.value) == str(err)
+        return
+    assert np.array_equal(sweep_metric(protocol, metric, grid).values, expected)
 
 
 class TestProtocols:
@@ -86,12 +141,61 @@ class TestSweeps:
         )
         assert_allclose(res.values, 0.0, atol=1e-15)
 
-    def test_workers_do_not_change_values(self):
-        grid = np.geomspace(1e-3, 0.1, 10)
-        protocol = QuantumProtocol(p1=0.75, theta=math.pi / 3)
-        serial = sweep_metric(protocol, "conditional_mean", grid)
-        threaded = sweep_metric(protocol, "conditional_mean", grid, workers=4)
-        assert np.array_equal(serial.values, threaded.values)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        p1=st.floats(0.0, 1.0),
+        theta=st.floats(0.0, 1.5),
+        theta_q=st.floats(0.0, 2.0 * math.pi),
+        fractions=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=8),
+    )
+    def test_sweep_matches_scalar_api(self, p1, theta, theta_q, fractions):
+        # classical biases stay below cos(theta), where the recipe is defined
+        classical = ClassicalMatchedProtocol(theta)
+        quantum = QuantumProtocol(p1, theta_q)
+        for protocol, grid in (
+            (classical, np.unique(np.array(fractions) * math.cos(theta))),
+            (quantum, np.unique(fractions)),
+        ):
+            for metric in metric_names(protocol):
+                assert_sweep_matches_loop(protocol, metric, grid)
+
+    @pytest.mark.parametrize(
+        "protocol, metric, grid",
+        [
+            (ClassicalMatchedProtocol(math.pi / 3), "conditional_mean", [0.1, 0.9, 1.5]),
+            (ClassicalMatchedProtocol(math.pi / 3), "postselection_shift", [0.1, 1.5, 0.9]),
+            (ClassicalMatchedProtocol(2.0), "conditional_mean_error", [0.1, 0.2]),
+            (ClassicalMatchedProtocol(2.0), "conditional_mean", [0.1, math.nan]),
+            (QuantumProtocol(0.75, math.pi / 3), "conditional_mean", [0.2, 0.0, 1.2]),
+            (QuantumProtocol(0.75, math.pi / 3), "conditional_mean", [0.2, 1.2, 0.0]),
+            (QuantumProtocol(0.75, math.pi / 3), "quantum_disturbance", [0.0, 0.5, -0.1]),
+            (QuantumProtocol(0.5, math.pi / 2), "conditional_mean_error", [0.3, 0.2, 0.0]),
+            (QuantumProtocol(0.75, math.pi / 3), "postselection_shift", [0.5, math.nan, 0.0]),
+            (ClassicalMatchedProtocol(math.pi / 3), "conditional_mean", np.linspace(1e-3, 1.2, 1000)),
+            (
+                QuantumProtocol(0.75, math.pi / 3),
+                "conditional_mean",
+                np.r_[np.linspace(0.9, 0.1, 700), 0.0, np.linspace(1.1, 2.0, 299)],
+            ),
+        ],
+    )
+    def test_mixed_grid_raises_what_the_loop_raises_first(self, protocol, metric, grid):
+        with pytest.raises((DomainError, ValidationError)):
+            point_by_point(protocol, metric, grid)
+        assert_sweep_matches_loop(protocol, metric, grid)
+
+    def test_check_that_is_not_point_wise_raises_the_whole_grid_error(self):
+        whole_grid_error = DomainError("fails only on two or more points")
+
+        def evaluate(protocol, metric, grid):
+            if grid.size > 1:
+                raise whole_grid_error
+            return grid
+
+        protocol = QuantumProtocol(0.75, 1.0)
+        with pytest.raises(DomainError) as caught:
+            _raise_first_failure(evaluate, protocol, "conditional_mean", np.ones(4), whole_grid_error)
+        assert caught.value is whole_grid_error
 
     def test_descending_grid_order_preserved(self):
         res = sweep_metric(
@@ -221,6 +325,19 @@ class TestWeakLimit:
         res = self.quantum_sweep([0.2, 0.1, 0.05])
         limit, err = richardson_extrapolate(res.strengths, res.values)
         assert abs(limit - 2.0) <= 10 * err
+
+    def test_quantum_sweep_reaches_the_weak_value_at_tiny_coupling(self):
+        # 50-digit Re A_w for the double inputs. The mean's own deviation is
+        # about 1.5 lam^2 here, so C = 2 leaves room only for rounding, of
+        # 4 eps relative to the value
+        mpmath.mp.dps = 50
+        half = mpmath.mpf(math.pi / 3) / 2
+        x = mpmath.cos(half) * mpmath.sqrt(mpmath.mpf(0.75))
+        y = -mpmath.sin(half) * mpmath.sqrt(mpmath.mpf(0.25))
+        weak = float((x - y) / (x + y))
+        lams = np.geomspace(1e-12, 1e-1, 400)
+        err = np.abs(self.quantum_sweep(lams).values - weak)
+        assert np.all(err <= 2.0 * lams**2 + 4 * np.finfo(float).eps * abs(weak))
 
     def test_classical_series_is_exact(self):
         res = sweep_metric(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -8,7 +9,11 @@ import pytest
 from twobox import (
     ContextualValues,
     CountTable,
+    MeasurementModel,
+    Postselection,
+    TwoLevelState,
     ValidationError,
+    conditional_mean_quantum,
     estimate_conditional_mean,
 )
 from twobox.cli import MODES, main, run, validate_result_document
@@ -183,6 +188,29 @@ class TestSweepMode:
         value = float(line.split(",")[1])
         assert value == 0.25187971108501767
 
+    # sha256 of the 1000-point matched classical CSV sweeps, recorded before
+    # sweeps became one array call; the classical arithmetic is unchanged
+    @pytest.mark.parametrize(
+        "metric, digest",
+        [
+            ("conditional_mean", "e898997b2f7d938758cbaa17567684526631ab2518fc5d0e67b06d52187b310e"),
+            ("conditional_mean_error", "a1f824f0e6591ccbd4cf3ab4257e84115e92fe5113fd1a2b5480d1974b05b641"),
+            ("postselection_probability", "8557883e4ed881c7cc8c20de97e4604c46e8c40b68bdb0104575eb200f01991e"),
+            ("postselection_shift", "565f3f91624d7542561d111b34ebcee258a2ba1004089a7631dd4ef4d90274cf"),
+        ],
+    )
+    def test_classical_csv_bytes_pinned(self, tmp_path, metric, digest):
+        cfg = {
+            "mode": "sweep",
+            "protocol": "classical",
+            "theta": math.pi / 3,
+            "metric": metric,
+            "strengths": {"from": 1e-6, "to": 0.4, "points": 1000, "scale": "log"},
+        }
+        out = tmp_path / "classical.csv"
+        run(cfg, out=str(out), fmt="csv", quiet=True)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestSampleMode:
     CFG = dict(MATCHED_CFG, mode="sample", protocol="classical", n=1000, seed=7)
@@ -223,6 +251,15 @@ class TestSampleMode:
         exact = res["exact_conditional_mean"]
         assert exact == pytest.approx(1.985074533578583, rel=1e-12)
         assert abs(res["conditional_mean"] - exact) <= 5 * res["stderr"]
+
+    def test_quantum_exact_mean_is_the_engine_value_in_the_weak_limit(self, capsys):
+        cfg = {"mode": "sample", "protocol": "quantum", "p1": 0.75, "theta": 1.0, "lambda": 1e-9}
+        cfg.update(n=100, seed=3)
+        doc, _ = run_to_doc(cfg, capsys)
+        i = TwoLevelState.from_occupation(0.75)
+        f = Postselection(1.0).state
+        exact = conditional_mean_quantum(i, MeasurementModel(1e-9), f)
+        assert doc["result"]["exact_conditional_mean"] == exact
 
     def test_trace_csv(self, tmp_path):
         cfg = dict(self.CFG, n=50, trace=True)
@@ -368,6 +405,20 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["--config", path]) == 3
         assert "postselection never occurs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, code, named",
+        [
+            ({"protocol": "classical", "theta": math.pi / 3, "strengths": [0.1, 0.9, 1.5]}, 3, "g = 0.9"),
+            ({"protocol": "classical", "theta": math.pi / 3, "strengths": [0.1, 1.5, 0.9]}, 2, "got 1.5"),
+            ({"protocol": "quantum", "p1": 0.75, "theta": 1.0, "strengths": [0.2, 0.0, 1.2]}, 3, "lambda = 0.0"),
+            ({"protocol": "quantum", "p1": 0.75, "theta": 1.0, "strengths": [0.2, 1.2, 0.0]}, 2, "got 1.2"),
+        ],
+    )
+    def test_mixed_sweep_grid_exit_code_follows_first_bad_point(self, tmp_path, capsys, cfg, code, named):
+        path = write_config(tmp_path, {"mode": "sweep", "metric": "conditional_mean", **cfg})
+        assert main(["--config", path]) == code
+        assert named in capsys.readouterr().err
 
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, MATCHED_CFG)

@@ -32,6 +32,7 @@ from .classical import (
     joint_distribution,
     joint_tables,
 )
+from .contextual import _check_finite
 from .errors import DomainError, TwoBoxError, ValidationError
 from .quantum import (
     MeasurementModel,
@@ -69,10 +70,7 @@ class ClassicalMatchedProtocol:
     theta: float
 
     def __post_init__(self):
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValidationError(f"theta must be finite, got {theta!r}")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", _check_finite("theta", self.theta))
 
     label = "classical_matched"
     parameter = "g"
@@ -96,12 +94,8 @@ class QuantumProtocol:
     theta: float
 
     def __post_init__(self):
-        p1 = _check_unit_interval("p1", self.p1)
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValidationError(f"theta must be finite, got {theta!r}")
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "p1", _check_unit_interval("p1", self.p1))
+        object.__setattr__(self, "theta", _check_finite("theta", self.theta))
 
     label = "quantum"
     parameter = "lambda"

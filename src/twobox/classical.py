@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contextual import _check_bias
+from .contextual import _check_bias, _check_finite
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -49,9 +49,17 @@ __all__ = [
 
 SIGNALS = ("S", "Sbar")
 BOXES = (1, 2)
+_CELLS = {(s, b): (i, j) for i, s in enumerate(SIGNALS) for j, b in enumerate(BOXES)}
 
-_SIGNAL_INDEX = {"S": 0, "Sbar": 1}
-_BOX_INDEX = {1: 0, 2: 1}
+
+def _cell(signal: str, box: int) -> tuple:
+    """(row, column) of a detector outcome and a final box in a 2x2 joint or count table."""
+    if signal not in SIGNALS:
+        raise ValidationError(f"signal must be one of {SIGNALS}, got {signal!r}")
+    cell = None if isinstance(box, bool) else _CELLS.get((signal, box))
+    if cell is None:
+        raise ValidationError(f"final_box must be 1 or 2, got {box!r}")
+    return cell
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -139,13 +147,13 @@ class JointDistribution:
         return self._table
 
     def p(self, signal: str, box: int) -> float:
-        return float(self._table[_SIGNAL_INDEX[signal], _BOX_INDEX[box]])
+        return float(self._table[_cell(signal, box)])
 
     def p_signal(self, signal: str) -> float:
-        return float(self._table[_SIGNAL_INDEX[signal]].sum())
+        return sum(self.p(signal, box) for box in BOXES)
 
     def p_box(self, box: int) -> float:
-        return float(self._table[:, _BOX_INDEX[box]].sum())
+        return sum(self.p(signal, box) for signal in SIGNALS)
 
     def __repr__(self):
         return f"JointDistribution({self._table.tolist()!r})"
@@ -204,8 +212,6 @@ def conditional_mean(dist: JointDistribution, cv, final_box: int = 2) -> float:
         If the conditioning box has probability zero, i.e. the
         postselection never occurs.
     """
-    if final_box not in _BOX_INDEX:
-        raise ValidationError(f"final_box must be 1 or 2, got {final_box!r}")
     pf = dist.p_box(final_box)
     if pf <= 0.0:
         raise DomainError(f"postselection never occurs: P(final box {final_box}) = 0")
@@ -295,9 +301,7 @@ def _grid_min_disturbance(v_target, g, lo, hi, n, tol):
     return best, point
 
 
-def min_disturbance_for_value(
-    v_target: float, g: float, grid_resolution: int = 51, refine: bool = True
-) -> float:
+def min_disturbance_for_value(v_target: float, g: float, grid_resolution: int = 51) -> float:
     """Minimum switching disturbance needed to reach a target conditional mean.
 
     Searches a uniform ``grid_resolution``-point grid over (p1, q, q0) in
@@ -305,9 +309,9 @@ def min_disturbance_for_value(
     values +1/g, -1/g) lies within a grid tolerance of ``v_target``, and
     returns the smallest max(q, q0) among them. The tolerance is
     ``2 * h * max(1, |v_target|)`` with h the grid spacing, so that targets
-    representable between grid points are not missed. With ``refine`` a
-    second pass re-searches one coarse cell around the best point at the
-    same resolution and proportionally tighter tolerance.
+    representable between grid points are not missed. A second pass
+    re-searches one coarse cell around the best point at the same
+    resolution and proportionally tighter tolerance.
 
     Returns ``math.inf`` when no grid point is feasible, which is the
     honest answer for targets outside [-1/g, 1/g].
@@ -322,9 +326,7 @@ def min_disturbance_for_value(
     forces the conditional mean to exactly -1.
     """
     g = float(_check_bias(g))
-    v_target = float(v_target)
-    if not math.isfinite(v_target):
-        raise ValidationError(f"v_target must be finite, got {v_target!r}")
+    v_target = _check_finite("v_target", v_target)
     n = int(grid_resolution)
     if n < 2:
         raise ValidationError(f"grid_resolution must be at least 2, got {grid_resolution!r}")
@@ -334,12 +336,12 @@ def min_disturbance_for_value(
     best, point = _grid_min_disturbance(
         v_target, g, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0), n=n, tol=tol
     )
-    if point is None or not refine:
+    if point is None:
         return best
 
     lo = [max(0.0, x - h) for x in point]
     hi = [min(1.0, x + h) for x in point]
     h_fine = max(hi[i] - lo[i] for i in range(3)) / (n - 1)
     tol_fine = 2.0 * h_fine * max(1.0, abs(v_target))
-    refined, _ = _grid_min_disturbance(v_target, g, lo=lo, hi=hi, n=n, tol=tol_fine)
-    return min(best, refined)
+    fine, _ = _grid_min_disturbance(v_target, g, lo=lo, hi=hi, n=n, tol=tol_fine)
+    return min(best, fine)

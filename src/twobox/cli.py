@@ -49,6 +49,7 @@ from .contextual import ContextualValues
 from .errors import DomainError, TwoBoxError, ValidationError
 from .montecarlo import (
     CountTable,
+    _check_seed,
     estimate_conditional_mean,
     gof_test,
     sample_classical,
@@ -58,8 +59,6 @@ from .montecarlo import (
 )
 from .quantum import (
     MeasurementModel,
-    Postselection,
-    TwoLevelState,
     conditional_mean_quantum,
     expectation,
     joint_outcome_probs,
@@ -119,17 +118,11 @@ def _flag(cfg: dict, key: str, default: bool = False) -> bool:
     return value
 
 
-def _postselection_state(theta: float) -> TwoLevelState:
-    return Postselection(theta % (2.0 * math.pi)).state
-
-
 def _run_classical(cfg: dict, seed) -> _ModeOutcome:
     params = ClassicalParams(
         p1=_number(cfg, "p1"), g=_number(cfg, "g"), q=_number(cfg, "q"), q0=_number(cfg, "q0")
     )
     final_box = _integer(cfg, "final_box", default=2)
-    if final_box not in (1, 2):
-        raise ValidationError(f"config key 'final_box' must be 1 or 2, got {final_box!r}")
     dist = joint_distribution(params)
     cv = ContextualValues.symmetric(params.g)
     mean = conditional_mean(dist, cv, final_box)
@@ -151,10 +144,13 @@ def _run_classical(cfg: dict, seed) -> _ModeOutcome:
     return _ModeOutcome(result=result, summary=summary)
 
 
+def _quantum_states(cfg: dict) -> tuple:
+    protocol = QuantumProtocol(p1=_number(cfg, "p1"), theta=_number(cfg, "theta"))
+    return protocol.preparation, protocol.postselection
+
+
 def _run_quantum(cfg: dict, seed) -> _ModeOutcome:
-    i = TwoLevelState.from_occupation(_number(cfg, "p1"))
-    theta = _number(cfg, "theta")
-    f = _postselection_state(theta)
+    i, f = _quantum_states(cfg)
     aw = weak_value(i, f)
     overlap = complex(np.conj(f.vector) @ i.vector)
     result = {
@@ -195,7 +191,7 @@ def _run_match(cfg: dict, seed) -> _ModeOutcome:
         "q0": params.q0,
         "conditional_mean": mean,
         "p_box2": dist.p_box(2),
-        "target": 1.0 / math.cos(theta),
+        "target": ClassicalMatchedProtocol(theta).target,
     }
     summary = (
         f"match: q = {params.q:.6g}, q0 = {params.q0:.6g} reproduce "
@@ -205,8 +201,7 @@ def _run_match(cfg: dict, seed) -> _ModeOutcome:
 
 
 def _run_witness(cfg: dict, seed) -> _ModeOutcome:
-    i = TwoLevelState.from_occupation(_number(cfg, "p1"))
-    f = _postselection_state(_number(cfg, "theta"))
+    i, f = _quantum_states(cfg)
     pw = projector_weak_values(i, f)
     aw = weak_value(i, f)
     result = {
@@ -308,8 +303,7 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
         lam = _number(cfg, "lambda")
         if lam == 0.0:
             raise DomainError("conditional mean undefined at zero coupling (lam = 0)")
-        i = TwoLevelState.from_occupation(_number(cfg, "p1"))
-        f = _postselection_state(_number(cfg, "theta"))
+        i, f = _quantum_states(cfg)
         model = MeasurementModel(lam)
         exact = joint_outcome_probs(i, model, f)
         cv = ContextualValues.symmetric(lam)
@@ -448,11 +442,7 @@ def _workers_from_env() -> int | None:
 
 def _resolve_seed(config: dict, flag_seed) -> int | None:
     seed = flag_seed if flag_seed is not None else config.get("seed")
-    if seed is None:
-        return None
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < (1 << 64):
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return seed
+    return None if seed is None else _check_seed(seed)
 
 
 def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int:

@@ -27,6 +27,13 @@ from .errors import DomainError, ValidationError
 __all__ = ["ContextualValues", "ResponseMatrix", "solve_cv"]
 
 
+def _check_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _check_bias(g) -> np.ndarray:
     """``g`` as floats (a numpy scalar for 0-d input), after checking every detector bias is in (0, 1]."""
     g = np.asarray(g, dtype=float)[()]
@@ -48,10 +55,7 @@ class ContextualValues:
 
     def __post_init__(self):
         for name in ("alpha_s", "alpha_sbar"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
 
     @classmethod
     def symmetric(cls, g: float) -> "ContextualValues":

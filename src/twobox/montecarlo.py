@@ -7,8 +7,7 @@ touches operating-system entropy. Streams come from numpy's Philox
 counter-based generator, which produces the same sequence on every
 platform and can be keyed independently per task. Multi-point runs derive
 one key per grid point from (seed, point index) with a SplitMix64 mix, so
-results are identical no matter how the points are distributed over
-worker threads.
+each point's counts depend on the seed and its own index alone.
 
 The default sampler draws (detector outcome, final box) pairs in one shot
 by inverting the cumulative distribution of the exact four-cell joint
@@ -21,12 +20,13 @@ joint sampler in distribution, which the goodness-of-fit test checks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import BOXES, SIGNALS, ClassicalParams, JointDistribution, joint_distribution
+from .classical import _cell, _signal_average
 from .contextual import ContextualValues
 from .errors import DomainError, ValidationError
 from .quantum import MeasurementModel, TwoLevelState, joint_outcome_probs
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_SIGNAL_INDEX = {"S": 0, "Sbar": 1}
 
 # Upper 0.1% point of chi-square with 3 degrees of freedom, the cell count
 # minus one for the fixed total.
@@ -125,19 +124,19 @@ class CountTable:
         return int(self._counts.sum())
 
     def n(self, signal: str, box: int) -> int:
-        return int(self._counts[_SIGNAL_INDEX[signal], box - 1])
+        return int(self._counts[_cell(signal, box)])
 
     def n_signal(self, signal: str) -> int:
-        return int(self._counts[_SIGNAL_INDEX[signal]].sum())
+        return sum(self.n(signal, box) for box in BOXES)
 
     def n_box(self, box: int) -> int:
-        return int(self._counts[:, box - 1].sum())
+        return sum(self.n(signal, box) for signal in SIGNALS)
 
     @classmethod
     def from_records(cls, records) -> "CountTable":
         c = np.zeros((2, 2), dtype=np.int64)
-        for record in records:
-            c[_SIGNAL_INDEX[record.signal], record.final_box - 1] += 1
+        for (signal, box), k in Counter((r.signal, r.final_box) for r in records).items():
+            c[_cell(signal, box)] = k
         return cls(c)
 
     def frequencies(self) -> JointDistribution:
@@ -224,27 +223,15 @@ def sample_quantum_trace(
     ]
 
 
-def sample_classical_sweep(
-    params_list, n: int, seed: int, workers: int | None = None
-) -> list:
+def sample_classical_sweep(params_list, n: int, seed: int) -> list:
     """Sample a sequence of classical parameter points with one stream per point.
 
-    Point ``k`` always draws from the Philox stream keyed by
-    ``derive_stream_key(seed, k)``, so the returned count tables are
-    identical for every ``workers`` value, including serial execution.
+    Point ``k`` draws from the Philox stream keyed by
+    ``derive_stream_key(seed, k)``.
     """
-    params_list = list(params_list)
     n = _check_trials(n)
     seed = _check_seed(seed)
-    keys = [derive_stream_key(seed, k) for k in range(len(params_list))]
-
-    def point(k: int) -> CountTable:
-        return sample_classical(params_list[k], n, keys[k])
-
-    if workers is None or workers <= 1:
-        return [point(k) for k in range(len(params_list))]
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        return list(pool.map(point, range(len(params_list))))
+    return [sample_classical(p, n, derive_stream_key(seed, k)) for k, p in enumerate(params_list)]
 
 
 def estimate_conditional_mean(
@@ -261,13 +248,12 @@ def estimate_conditional_mean(
     DomainError
         If no trial ended in the conditioning box.
     """
-    if final_box not in BOXES:
-        raise ValidationError(f"final_box must be 1 or 2, got {final_box!r}")
     n_f = counts.n_box(final_box)
     if n_f == 0:
         raise DomainError(f"no postselected trials: no count in final box {final_box}")
-    p_hat = counts.n("S", final_box) / n_f
-    mean = cv.alpha_s * p_hat + cv.alpha_sbar * (1.0 - p_hat)
+    n_s = counts.n("S", final_box)
+    mean = _signal_average(n_s, n_f, cv.alpha_s, cv.alpha_sbar)
+    p_hat = n_s / n_f
     stderr = cv.span * math.sqrt(p_hat * (1.0 - p_hat) / n_f)
     return float(mean), float(stderr)
 

@@ -93,7 +93,7 @@ class Postselection:
 
     def __post_init__(self):
         theta = float(self.theta)
-        if not math.isfinite(theta) or not 0.0 <= theta <= 2.0 * math.pi:
+        if not 0.0 <= theta <= 2.0 * math.pi:
             raise ValidationError(f"theta must be in [0, 2*pi], got {theta!r}")
         object.__setattr__(self, "theta", theta)
 

@@ -301,11 +301,6 @@ class TestMinDisturbance:
         b = min_disturbance_for_value(1.7, 0.2, 41)
         assert a == b
 
-    def test_refine_flag_only_tightens(self):
-        coarse = min_disturbance_for_value(0.5, 0.3, 51, refine=False)
-        refined = min_disturbance_for_value(0.5, 0.3, 51, refine=True)
-        assert refined <= coarse
-
     def test_validation(self):
         with pytest.raises(ValidationError, match="grid_resolution"):
             min_disturbance_for_value(0.5, 0.3, 1)

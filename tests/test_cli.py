@@ -95,6 +95,42 @@ class TestQuantumMode:
         assert "weak_value" in doc["result"]
 
 
+def assert_results_close(a, b, path="result"):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_results_close(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_results_close(x, y, f"{path}[{k}]")
+    elif isinstance(a, float):
+        assert b == pytest.approx(a, rel=1e-12, abs=1e-12), path
+    else:
+        assert a == b, path
+
+
+class TestThetaWrap:
+    """Every quantum mode reads theta modulo 2*pi, so a full turn either way changes nothing."""
+
+    CFGS = {
+        "quantum": {"mode": "quantum", "p1": 0.75, "lambda": 0.1},
+        "witness": {"mode": "witness", "p1": 0.75},
+        "sample": {"mode": "sample", "protocol": "quantum", "p1": 0.75, "lambda": 0.3, "n": 2000, "seed": 9},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CFGS))
+    @pytest.mark.parametrize("turns", [-1, 1])
+    def test_full_turn_gives_the_same_result(self, tmp_path, capsys, mode, turns):
+        theta = math.pi / 3
+        results = []
+        for k, angle in enumerate((theta, theta + turns * 2.0 * math.pi)):
+            path = write_config(tmp_path, dict(self.CFGS[mode], theta=angle), name=f"cfg{k}.json")
+            assert main(["--config", path, "--quiet"]) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        assert_results_close(*results)
+
+
 class TestMatchMode:
     def test_matched_recipe(self, capsys):
         cfg = {"mode": "match", "theta": math.pi / 3, "g": 0.1}

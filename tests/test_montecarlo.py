@@ -18,7 +18,6 @@ from twobox import (
     conditional_mean,
     derive_stream_key,
     estimate_conditional_mean,
-    fc_match_params,
     gof_test,
     joint_distribution,
     joint_outcome_probs,
@@ -93,6 +92,26 @@ class TestCountTable:
         assert_allclose(t.frequencies().table, [[0.1, 0.2], [0.3, 0.4]], rtol=1e-15)
         with pytest.raises(ValidationError, match="empty"):
             CountTable([[0, 0], [0, 0]]).frequencies()
+
+
+_TABLES = {
+    "joint": (JointDistribution([[0.1, 0.2], [0.3, 0.4]]), "p", "p_signal", "p_box"),
+    "counts": (CountTable([[1, 2], [3, 4]]), "n", "n_signal", "n_box"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+@pytest.mark.parametrize("signal, box", [("S", 0), ("S", 3), ("S", True), ("X", 1)])
+def test_unknown_signal_or_box_is_rejected(kind, signal, box):
+    # box 0 must not alias box 2 through index -1, and True must not pass for box 1
+    table, cell, by_signal, by_box = _TABLES[kind]
+    with pytest.raises(ValidationError, match="signal" if signal == "X" else "final_box"):
+        getattr(table, cell)(signal, box)
+    with pytest.raises(ValidationError):
+        if signal == "X":
+            getattr(table, by_signal)(signal)
+        else:
+            getattr(table, by_box)(box)
 
 
 class TestSampling:
@@ -249,12 +268,6 @@ class TestGof:
 
 
 class TestSweepSampling:
-    def test_worker_count_does_not_change_results(self):
-        plist = [fc_match_params(math.pi / 3, g) for g in (0.1, 0.05, 0.02, 0.01)]
-        serial = sample_classical_sweep(plist, 5000, 77)
-        threaded = sample_classical_sweep(plist, 5000, 77, workers=4)
-        assert serial == threaded
-
     def test_points_use_derived_keys(self):
         plist = [MATCHED, MATCHED]
         swept = sample_classical_sweep(plist, 300, 42)

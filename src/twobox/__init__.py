@@ -56,6 +56,7 @@ from .montecarlo import (
     CountTable,
     GofResult,
     TrialRecord,
+    TrialTrace,
     derive_stream_key,
     estimate_conditional_mean,
     gof_test,
@@ -115,6 +116,7 @@ __all__ = [
     "CountTable",
     "GofResult",
     "TrialRecord",
+    "TrialTrace",
     "derive_stream_key",
     "estimate_conditional_mean",
     "gof_test",

@@ -27,6 +27,7 @@ from .classical import (
     _box2,
     _check_tables,
     _check_unit_interval,
+    _matched_cosine,
     _matched_switching,
     _signal_average,
     joint_distribution,
@@ -77,10 +78,7 @@ class ClassicalMatchedProtocol:
 
     @property
     def target(self) -> float:
-        c = math.cos(self.theta)
-        if c <= 0.0:
-            raise DomainError(f"target value undefined or divergent: cos(theta) = {c!r}")
-        return 1.0 / c
+        return 1.0 / _matched_cosine(self.theta)
 
     def fixed(self) -> dict:
         return {"theta": self.theta}

@@ -245,12 +245,18 @@ def fc_match_params(theta: float, g: float) -> ClassicalParams:
     return ClassicalParams(p1=1.0, g=g, q=float(q), q0=float(q0))
 
 
-def _matched_switching(theta: float, g) -> tuple:
-    """(q, q0) of :func:`fc_match_params` over a bias array, after its checks; q0 clamped to [0, 1]."""
-    g = _check_bias(g)
+def _matched_cosine(theta: float) -> float:
+    """cos(theta), after checking that the matched target 1/cos(theta) is finite and positive."""
     c = math.cos(float(theta))
     if c <= 0.0:
         raise DomainError(f"target value undefined or divergent: cos(theta) = {c!r} must be positive")
+    return c
+
+
+def _matched_switching(theta: float, g) -> tuple:
+    """(q, q0) of :func:`fc_match_params` over a bias array, after its checks; q0 clamped to [0, 1]."""
+    g = _check_bias(g)
+    c = _matched_cosine(theta)
     unmatched = g > c + 1e-15
     if unmatched.any():
         raise DomainError(

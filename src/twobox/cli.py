@@ -49,6 +49,7 @@ from .contextual import ContextualValues
 from .errors import DomainError, TwoBoxError, ValidationError
 from .montecarlo import (
     CountTable,
+    _blocks,
     _check_seed,
     estimate_conditional_mean,
     gof_test,
@@ -79,26 +80,32 @@ class _ModeOutcome:
     result: dict
     summary: str
     csv_header: tuple | None = None
-    csv_rows: object = None  # callable returning the rows, called only when CSV is written
+    csv_rows: int = 0
+    csv_text: object = None  # (lo, hi) -> CSV text of rows lo..hi, called only when CSV is written
 
 
-def _number(cfg: dict, key: str, default=_MISSING) -> float:
-    if key not in cfg:
-        if default is _MISSING:
-            raise ValidationError(f"config key {key!r} is required for mode {cfg.get('mode')!r}")
-        return default
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+def _config_value(cfg: dict, key: str, default=_MISSING):
+    """``cfg[key]``; ``default`` when the key is absent, which is an error if there is no default."""
+    if key in cfg:
+        return cfg[key]
+    if default is _MISSING:
+        raise ValidationError(f"config key {key!r} is required for mode {cfg.get('mode')!r}")
+    return default
+
+
+def _is_finite_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _number(cfg: dict, key: str) -> float:
+    value = _config_value(cfg, key)
+    if not _is_finite_number(value):
         raise ValidationError(f"config key {key!r} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _integer(cfg: dict, key: str, default=_MISSING, minimum: int = 0) -> int:
-    if key not in cfg:
-        if default is _MISSING:
-            raise ValidationError(f"config key {key!r} is required for mode {cfg.get('mode')!r}")
-        return default
-    value = cfg[key]
+    value = _config_value(cfg, key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValidationError(f"config key {key!r} must be an integer >= {minimum}, got {value!r}")
     return int(value)
@@ -225,7 +232,7 @@ def _strength_grid(cfg: dict) -> np.ndarray:
         if not raw:
             raise ValidationError("config key 'strengths' must not be an empty list")
         for value in raw:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not _is_finite_number(value):
                 raise ValidationError(f"strengths entries must be finite numbers, got {value!r}")
         return np.asarray(raw, dtype=float)
     if isinstance(raw, dict):
@@ -279,10 +286,18 @@ def _run_sweep(cfg: dict, seed) -> _ModeOutcome:
         result=result,
         summary=summary,
         csv_header=("param", "value", "metric", "stderr"),
-        csv_rows=lambda: [
-            (f"{s:.17g}", f"{v:.17g}", res.metric, "") for s, v in zip(res.strengths, res.values)
-        ],
+        csv_rows=len(points),
+        csv_text=lambda lo, hi: "".join(
+            [
+                f"{s:.17g},{v:.17g},{res.metric},\n"
+                for s, v in zip(res.strengths[lo:hi].tolist(), res.values[lo:hi].tolist())
+            ]
+        ),
     )
+
+
+# The text after the trial number of a trace CSV row, by table cell (2 * row + column).
+_TRACE_ROW_ENDS = (",S,1\n", ",S,2\n", ",Sbar,1\n", ",Sbar,2\n")
 
 
 def _run_sample(cfg: dict, seed) -> _ModeOutcome:
@@ -297,8 +312,8 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
         )
         exact = joint_distribution(params)
         cv = ContextualValues.symmetric(params.g)
-        records = sample_classical_trace(params, n, seed) if trace else None
-        counts = CountTable.from_records(records) if trace else sample_classical(params, n, seed)
+        trials = sample_classical_trace(params, n, seed) if trace else None
+        counts = CountTable.from_records(trials) if trace else sample_classical(params, n, seed)
     else:
         lam = _number(cfg, "lambda")
         if lam == 0.0:
@@ -307,8 +322,8 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
         model = MeasurementModel(lam)
         exact = joint_outcome_probs(i, model, f)
         cv = ContextualValues.symmetric(lam)
-        records = sample_quantum_trace(i, model, f, n, seed) if trace else None
-        counts = CountTable.from_records(records) if trace else sample_quantum(i, model, f, n, seed)
+        trials = sample_quantum_trace(i, model, f, n, seed) if trace else None
+        counts = CountTable.from_records(trials) if trace else sample_quantum(i, model, f, n, seed)
     mean, stderr = estimate_conditional_mean(counts, cv, 2)
     if name == "classical":
         exact_mean = conditional_mean(exact, cv, 2)
@@ -330,18 +345,20 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
         "exact_conditional_mean": exact_mean,
         "gof": gof_doc,
     }
-    rows = None
-    header = None
-    if trace:
-        header = ("trial", "signal", "final_box")
-        # built now, so that the records are freed before the CSV text is assembled
-        rows = [(str(k), rec.signal, str(rec.final_box)) for k, rec in enumerate(records)]
     summary = (
         f"sample: n = {n}, conditional mean {mean:.6g} +/- {stderr:.2g} "
         f"(exact {exact_mean:.6g})"
     )
+    if not trace:
+        return _ModeOutcome(result=result, summary=summary)
     return _ModeOutcome(
-        result=result, summary=summary, csv_header=header, csv_rows=None if rows is None else lambda: rows
+        result=result,
+        summary=summary,
+        csv_header=("trial", "signal", "final_box"),
+        csv_rows=n,
+        csv_text=lambda lo, hi: "".join(
+            [f"{k}{_TRACE_ROW_ENDS[c]}" for k, c in zip(range(lo, hi), trials._cells(lo, hi).tolist())]
+        ),
     )
 
 
@@ -405,19 +422,20 @@ def _json_text(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: tuple, rows: list) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_chunks(outcome: _ModeOutcome):
+    """The CSV document in pieces: the header line, then the rows one block at a time."""
+    yield ",".join(outcome.csv_header) + "\n"
+    for lo, hi in _blocks(outcome.csv_rows):
+        yield outcome.csv_text(lo, hi)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write the full text to a temp file in the target directory, then rename."""
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text chunks to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twobox-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -477,24 +495,24 @@ def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int
     }
     validate_result_document(document)
     if fmt == "json":
-        text = _json_text(document)
+        chunks = [_json_text(document)]
     else:
-        if outcome.csv_rows is None:
+        if outcome.csv_text is None:
             raise ValidationError(
                 f"csv output is not available for mode {mode!r}; "
                 "it applies to sweeps and trial traces"
             )
-        text = _csv_text(outcome.csv_header, outcome.csv_rows())
+        chunks = _csv_chunks(outcome)
 
     if out is not None:
         try:
-            _write_atomic(out, text)
+            _write_atomic(out, chunks)
         except OSError as err:
             raise ValidationError(f"cannot write output file {out!r}: {err}") from err
         if not quiet:
             print(outcome.summary)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         if not quiet:
             print(outcome.summary, file=sys.stderr)
     return 0

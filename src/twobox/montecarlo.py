@@ -9,12 +9,20 @@ platform and can be keyed independently per task. Multi-point runs derive
 one key per grid point from (seed, point index) with a SplitMix64 mix, so
 each point's counts depend on the seed and its own index alone.
 
-The default sampler draws (detector outcome, final box) pairs in one shot
-by inverting the cumulative distribution of the exact four-cell joint
-table. A separate trace mode simulates each trial stage by stage
-(placement, detection, switching) and returns per-trial records; it is
-slower and consumes differently from the stream, but must agree with the
-joint sampler in distribution, which the goodness-of-fit test checks.
+The default sampler draws (detector outcome, final box) pairs by
+inverting the cumulative distribution of the exact four-cell joint table.
+A separate trace mode simulates each trial stage by stage (placement,
+detection, switching) and returns a :class:`TrialTrace`: two columns, the
+detector outcome (``bool``, True for S) and the final box (``uint8``, 1 or
+2), one entry per trial, 2 bytes per trial in all. It consumes differently
+from the stream, but must agree with the joint sampler in distribution,
+which the goodness-of-fit test checks.
+
+Every sampler draws its uniforms in blocks of at most ``_BLOCK`` trials,
+so the working memory of a draw is bounded whatever ``n`` is. Philox
+float64 draws are sequential, so the blocks consume the stream exactly as
+one ``gen.random(n)`` (or ``gen.random((n, k))``) call would, and seeded
+counts and traces do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .quantum import MeasurementModel, TwoLevelState, joint_outcome_probs
 
 __all__ = [
     "TrialRecord",
+    "TrialTrace",
     "CountTable",
     "GofResult",
     "derive_stream_key",
@@ -51,6 +60,9 @@ _MASK64 = (1 << 64) - 1
 # Upper 0.1% point of chi-square with 3 degrees of freedom, the cell count
 # minus one for the fixed total.
 CHI2_CRITICAL_3DOF_P001 = 16.266
+
+# Trials per block of drawn uniforms and of streamed CSV rows.
+_BLOCK = 1 << 16
 
 
 def derive_stream_key(seed: int, index: int) -> int:
@@ -87,6 +99,17 @@ def _generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _blocks(n: int):
+    """``(lo, hi)`` bounds of consecutive blocks of at most ``_BLOCK`` items covering ``range(n)``."""
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _draw_blocks(gen: np.random.Generator, n: int, k: int | None = None):
+    """Yield ``(lo, hi, u)``: the uniforms of trials ``lo..hi``, one (or ``k``) per trial, in stream order."""
+    for lo, hi in _blocks(n):
+        yield lo, hi, gen.random(hi - lo if k is None else (hi - lo, k))
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One simulated trial: the detector outcome and the final box."""
@@ -99,6 +122,55 @@ class TrialRecord:
             raise ValidationError(f"signal must be one of {SIGNALS}, got {self.signal!r}")
         if self.final_box not in BOXES:
             raise ValidationError(f"final_box must be 1 or 2, got {self.final_box!r}")
+
+
+class TrialTrace:
+    """Trials in simulation order, as two read-only columns.
+
+    ``signal`` is ``bool`` (True for the detector outcome S) and
+    ``final_box`` is ``uint8`` (1 or 2). Iterating yields one
+    :class:`TrialRecord` per trial.
+    """
+
+    __slots__ = ("signal", "final_box")
+
+    def __init__(self, signal, final_box):
+        signal = np.asarray(signal)
+        final_box = np.asarray(final_box)
+        if signal.dtype != bool or signal.ndim != 1 or final_box.shape != signal.shape:
+            raise ValidationError(
+                "a trial trace needs a 1-D bool signal column and a final_box column of the same "
+                f"length, got {signal.dtype} {signal.shape} and {final_box.shape}"
+            )
+        if final_box.size and (
+            not np.issubdtype(final_box.dtype, np.integer) or final_box.min() < 1 or final_box.max() > 2
+        ):
+            raise ValidationError("final_box entries must be 1 or 2")
+        self.signal = signal.view()
+        self.final_box = final_box.astype(np.uint8, copy=False).view()
+        self.signal.flags.writeable = False
+        self.final_box.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.signal.size
+
+    def __iter__(self):
+        for s, box in zip(self.signal.tolist(), self.final_box.tolist()):
+            yield TrialRecord(signal="S" if s else "Sbar", final_box=box)
+
+    def _cells(self, lo: int, hi: int) -> np.ndarray:
+        """Flat table cell, 2 * row + column in the layout of ``classical._cell``, of trials ``lo..hi``."""
+        return np.where(self.signal[lo:hi], 0, 2) + self.final_box[lo:hi] - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialTrace):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.signal, other.signal) and np.array_equal(self.final_box, other.final_box)
+        )
+
+    def __repr__(self):
+        return f"TrialTrace(<{len(self)} trials>)"
 
 
 class CountTable:
@@ -134,7 +206,12 @@ class CountTable:
 
     @classmethod
     def from_records(cls, records) -> "CountTable":
+        """Count a :class:`TrialTrace` (one ``np.bincount`` per block) or any iterable of records."""
         c = np.zeros((2, 2), dtype=np.int64)
+        if isinstance(records, TrialTrace):
+            for lo, hi in _blocks(len(records)):
+                c += np.bincount(records._cells(lo, hi), minlength=4).reshape(2, 2)
+            return cls(c)
         for (signal, box), k in Counter((r.signal, r.final_box) for r in records).items():
             c[_cell(signal, box)] = k
         return cls(c)
@@ -156,16 +233,18 @@ class CountTable:
 def sample_joint(dist: JointDistribution, n: int, seed: int) -> CountTable:
     """Draw n trials from an exact joint table by inverse-CDF lookup.
 
-    All n trials consume exactly one uniform each, drawn from a Philox
-    stream keyed by ``seed``.
+    All n trials consume exactly one uniform each, drawn in blocks from a
+    Philox stream keyed by ``seed``.
     """
     n = _check_trials(n)
     gen = _generator(_check_seed(seed))
     cum = np.cumsum(dist.table.ravel())
-    u = gen.random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    np.minimum(idx, 3, out=idx)
-    return CountTable(np.bincount(idx, minlength=4).reshape(2, 2))
+    c = np.zeros(4, dtype=np.int64)
+    for _, _, u in _draw_blocks(gen, n):
+        idx = np.searchsorted(cum, u, side="right")
+        np.minimum(idx, 3, out=idx)
+        c += np.bincount(idx, minlength=4)
+    return CountTable(c.reshape(2, 2))
 
 
 def sample_classical(params: ClassicalParams, n: int, seed: int) -> CountTable:
@@ -180,47 +259,50 @@ def sample_quantum(
     return sample_joint(joint_outcome_probs(i, m, f), n, seed)
 
 
-def sample_classical_trace(params: ClassicalParams, n: int, seed: int) -> list:
+def _simulate(n: int, seed: int, k: int, stages) -> TrialTrace:
+    """Trace of n trials: ``stages`` maps each block of k uniforms per trial to (signal, final box)."""
+    n = _check_trials(n)
+    gen = _generator(_check_seed(seed))
+    signal = np.empty(n, dtype=bool)
+    final_box = np.empty(n, dtype=np.uint8)
+    for lo, hi, u in _draw_blocks(gen, n, k):
+        signal[lo:hi], final_box[lo:hi] = stages(u)
+    return TrialTrace(signal, final_box)
+
+
+def sample_classical_trace(params: ClassicalParams, n: int, seed: int) -> TrialTrace:
     """Simulate each classical trial stage by stage and log it.
 
     Per trial three uniforms decide, in order: the initial box, the
-    detector outcome, the switch. Returns a list of
-    :class:`TrialRecord`, one per trial in simulation order.
+    detector outcome, the switch. Returns the :class:`TrialTrace` of the
+    n trials in simulation order.
     """
-    n = _check_trials(n)
-    gen = _generator(_check_seed(seed))
-    u = gen.random((n, 3))
-    in_box1 = u[:, 0] < params.p1
-    p_signal = np.where(in_box1, (1.0 + params.g) / 2.0, (1.0 - params.g) / 2.0)
-    signal = u[:, 1] < p_signal
-    p_switch = np.where(signal, params.q, params.q0)
-    switched = u[:, 2] < p_switch
-    final_box1 = in_box1 ^ switched
-    return [
-        TrialRecord(signal="S" if s else "Sbar", final_box=1 if b else 2)
-        for s, b in zip(signal.tolist(), final_box1.tolist())
-    ]
+
+    def stages(u):
+        in_box1 = u[:, 0] < params.p1
+        p_signal = np.where(in_box1, (1.0 + params.g) / 2.0, (1.0 - params.g) / 2.0)
+        signal = u[:, 1] < p_signal
+        switched = u[:, 2] < np.where(signal, params.q, params.q0)
+        return signal, np.where(in_box1 ^ switched, 1, 2)
+
+    return _simulate(n, seed, 3, stages)
 
 
 def sample_quantum_trace(
     i: TwoLevelState, m: MeasurementModel, f: TwoLevelState, n: int, seed: int
-) -> list:
+) -> TrialTrace:
     """Simulate quantum trials stage by stage: detector outcome, then postselection."""
-    n = _check_trials(n)
-    gen = _generator(_check_seed(seed))
     dist = joint_outcome_probs(i, m, f)
     p_s = dist.p_signal("S")
     with np.errstate(divide="ignore", invalid="ignore"):
         p2_given_s = dist.p("S", 2) / p_s if p_s > 0 else 0.0
         p2_given_sbar = dist.p("Sbar", 2) / (1.0 - p_s) if p_s < 1 else 0.0
-    u = gen.random((n, 2))
-    signal = u[:, 0] < p_s
-    p_box2 = np.where(signal, p2_given_s, p2_given_sbar)
-    in_box2 = u[:, 1] < p_box2
-    return [
-        TrialRecord(signal="S" if s else "Sbar", final_box=2 if b else 1)
-        for s, b in zip(signal.tolist(), in_box2.tolist())
-    ]
+
+    def stages(u):
+        signal = u[:, 0] < p_s
+        return signal, np.where(u[:, 1] < np.where(signal, p2_given_s, p2_given_sbar), 2, 1)
+
+    return _simulate(n, seed, 2, stages)
 
 
 def sample_classical_sweep(params_list, n: int, seed: int) -> list:

@@ -90,6 +90,15 @@ class TestProtocols:
         with pytest.raises(DomainError, match="undefined or divergent"):
             ClassicalMatchedProtocol(2.0).target
 
+    def test_divergent_target_has_one_message(self):
+        # the protocol's target and the matching recipe share one cos(theta) > 0 check
+        with pytest.raises(DomainError) as from_target:
+            ClassicalMatchedProtocol(2.0).target
+        with pytest.raises(DomainError) as from_recipe:
+            fc_match_params(2.0, 0.1)
+        assert str(from_target.value) == str(from_recipe.value)
+        assert "must be positive" in str(from_target.value)
+
     def test_quantum_target_is_weak_value(self):
         p = QuantumProtocol(p1=0.75, theta=math.pi / 3)
         assert p.target == pytest.approx(2.0, rel=1e-12)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from twobox import (
     conditional_mean_quantum,
     estimate_conditional_mean,
 )
-from twobox.cli import MODES, main, run, validate_result_document
+from twobox.cli import MODES, _write_atomic, main, run, validate_result_document
 
 MATCHED_CFG = {
     "mode": "classical",
@@ -310,6 +311,30 @@ class TestSampleMode:
             assert signal in ("S", "Sbar")
             assert box in ("1", "2")
 
+    def test_trace_csv_bytes_pinned(self, tmp_path, capsys):
+        # sha256 recorded when traces were lists of per-trial records written in one piece
+        cfg = dict(self.CFG, n=100_000, trace=True)
+        out = tmp_path / "trace.csv"
+        run(cfg, out=str(out), fmt="csv", quiet=True)
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == "6993a2e6e58a3878af1f958112e26ce8010c30c14766f6584bb22bebe35e6103"
+        run(cfg, fmt="csv", quiet=True)
+        assert capsys.readouterr().out.encode() == data
+
+    def test_trace_csv_memory_is_two_bytes_per_trial(self, tmp_path):
+        # the trace columns take 1 + 1 bytes per trial; rows are formatted a block at a time
+        cfg = dict(self.CFG, trace=True)
+        run(dict(cfg, n=1000), out=str(tmp_path / "warm.csv"), fmt="csv", quiet=True)
+        peaks = {}
+        for n in (200_000, 400_000):
+            tracemalloc.start()
+            try:
+                run(dict(cfg, n=n), out=str(tmp_path / "trace.csv"), fmt="csv", quiet=True)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[400_000] - peaks[200_000]) / 200_000 <= 4.0
+
     def test_trace_counts_match_trace_records(self, capsys):
         doc_plain, _ = run_to_doc(dict(self.CFG, trace=True), capsys)
         # trace mode simulates stage by stage yet must sample the same law
@@ -504,6 +529,20 @@ class TestOutputPlumbing:
         run(dict(MATCHED_CFG), out=str(out), quiet=True)
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "doc.json"]
         assert leftovers == []
+
+    def test_failed_stream_keeps_existing_file(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        out.write_text("old contents\n", encoding="utf-8")
+
+        def chunks():
+            yield "trial,signal,final_box\n"
+            yield "0,S,1\n"
+            raise RuntimeError("formatter failed")
+
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            _write_atomic(str(out), chunks())
+        assert out.read_text(encoding="utf-8") == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
     def test_main_via_subprocess(self, tmp_path):
         path = write_config(tmp_path, MATCHED_CFG)

@@ -13,6 +13,7 @@ from twobox import (
     MeasurementModel,
     Postselection,
     TrialRecord,
+    TrialTrace,
     TwoLevelState,
     ValidationError,
     conditional_mean,
@@ -28,8 +29,16 @@ from twobox import (
     sample_quantum,
     sample_quantum_trace,
 )
+from twobox import montecarlo
 
 MATCHED = ClassicalParams(p1=1.0, g=0.1, q=6 / 11, q0=4 / 9)
+BLOCK = montecarlo._BLOCK
+# trial counts on and around the block boundaries
+BOUNDARY_NS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+
+
+def philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 class TestStreamKeys:
@@ -192,6 +201,111 @@ class TestTraceMode:
     def test_certain_placement_no_switch(self):
         recs = sample_classical_trace(ClassicalParams(1.0, 0.5, 0.0, 0.0), 200, 2)
         assert all(r.final_box == 1 for r in recs)
+
+
+class TestTrialTrace:
+    def test_iterates_as_records(self):
+        trace = TrialTrace([True, False, True], np.array([2, 1, 1], dtype=np.uint8))
+        assert len(trace) == 3
+        assert list(trace) == [TrialRecord("S", 2), TrialRecord("Sbar", 1), TrialRecord("S", 1)]
+
+    def test_counts_by_columns_match_counts_by_records(self):
+        trace = sample_classical_trace(ClassicalParams(0.6, 0.3, 0.5, 0.2), 3000, 4)
+        assert CountTable.from_records(trace) == CountTable.from_records(list(trace))
+        assert CountTable.from_records(trace).total == 3000
+
+    def test_columns(self):
+        trace = sample_quantum_trace(
+            TwoLevelState.from_occupation(0.75), MeasurementModel(0.2), Postselection(1.0).state, 100, 3
+        )
+        assert trace.signal.dtype == np.bool_ and trace.final_box.dtype == np.uint8
+        assert set(np.unique(trace.final_box).tolist()) <= {1, 2}
+
+    def test_columns_are_read_only(self):
+        box = np.array([1, 2], dtype=np.uint8)
+        trace = TrialTrace(np.array([True, False]), box)
+        with pytest.raises(ValueError):
+            trace.final_box[0] = 2
+        box[0] = 2  # the caller's array stays writable
+        assert box.flags.writeable
+
+    @pytest.mark.parametrize(
+        "signal, box",
+        [
+            ([1, 0], [1, 2]),
+            ([True, False], [1]),
+            ([True, False], [1, 3]),
+            ([True, False], [0, 1]),
+            ([True, False], [1.0, 2.0]),
+            ([True, False], [257, 1]),
+            ([[True]], [[1]]),
+        ],
+    )
+    def test_rejects_malformed_columns(self, signal, box):
+        with pytest.raises(ValidationError):
+            TrialTrace(np.array(signal), np.array(box))
+
+    def test_equality(self):
+        assert sample_classical_trace(MATCHED, 50, 1) != sample_classical_trace(MATCHED, 50, 2)
+        assert sample_classical_trace(MATCHED, 0, 1) == TrialTrace(np.zeros(0, bool), np.zeros(0, np.uint8))
+
+
+class TestBlockDraws:
+    """Draws go block by block, yet consume the stream as the one-shot references below do."""
+
+    def test_block_size(self):
+        assert BLOCK == 1 << 16
+
+    def test_draws_never_exceed_one_block(self, monkeypatch):
+        sizes = []
+        make = montecarlo._generator
+
+        class Recording:
+            def __init__(self, key):
+                self.gen = make(key)
+
+            def random(self, size):
+                sizes.append(size if isinstance(size, int) else size[0])
+                return self.gen.random(size)
+
+        monkeypatch.setattr(montecarlo, "_generator", Recording)
+        n = 3 * BLOCK + 5
+        i, m, f = TwoLevelState.from_occupation(0.75), MeasurementModel(0.2), Postselection(1.0).state
+        sample_joint(joint_distribution(MATCHED), n, 1)
+        sample_classical_trace(MATCHED, n, 1)
+        sample_quantum_trace(i, m, f, n, 1)
+        assert max(sizes) == BLOCK
+        assert sum(sizes) == 3 * n
+
+    @pytest.mark.parametrize("n", BOUNDARY_NS)
+    def test_sample_joint_equals_one_shot(self, n):
+        dist = joint_distribution(ClassicalParams(0.6, 0.3, 0.5, 0.2))
+        idx = np.searchsorted(np.cumsum(dist.table.ravel()), philox(5).random(n), side="right")
+        expected = np.bincount(np.minimum(idx, 3), minlength=4).reshape(2, 2)
+        assert sample_joint(dist, n, 5).counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", BOUNDARY_NS)
+    def test_classical_trace_equals_one_shot(self, n):
+        p = ClassicalParams(0.6, 0.3, 0.5, 0.2)
+        u = philox(5).random((n, 3))
+        in_box1 = u[:, 0] < p.p1
+        signal = u[:, 1] < np.where(in_box1, (1.0 + p.g) / 2.0, (1.0 - p.g) / 2.0)
+        switched = u[:, 2] < np.where(signal, p.q, p.q0)
+        trace = sample_classical_trace(p, n, 5)
+        assert np.array_equal(trace.signal, signal)
+        assert np.array_equal(trace.final_box, np.where(in_box1 ^ switched, 1, 2))
+
+    @pytest.mark.parametrize("n", BOUNDARY_NS)
+    def test_quantum_trace_equals_one_shot(self, n):
+        i, m, f = TwoLevelState.from_occupation(0.75), MeasurementModel(0.2), Postselection(1.0).state
+        dist = joint_outcome_probs(i, m, f)
+        p_s = dist.p_signal("S")
+        u = philox(5).random((n, 2))
+        signal = u[:, 0] < p_s
+        in_box2 = u[:, 1] < np.where(signal, dist.p("S", 2) / p_s, dist.p("Sbar", 2) / (1.0 - p_s))
+        trace = sample_quantum_trace(i, m, f, n, 5)
+        assert np.array_equal(trace.signal, signal)
+        assert np.array_equal(trace.final_box, np.where(in_box2, 2, 1))
 
 
 class TestEstimator:

@@ -22,18 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import (
-    ClassicalParams,
-    _box2,
-    _check_tables,
-    _check_unit_interval,
-    _matched_cosine,
-    _matched_switching,
-    _signal_average,
-    joint_distribution,
-    joint_tables,
-)
-from .contextual import _check_finite
+from .classical import ClassicalParams, _matched_cosine, _matched_switching, joint_distribution, joint_tables
+from .contextual import _check_finite, _check_unit_interval
 from .errors import DomainError, TwoBoxError, ValidationError
 from .quantum import (
     MeasurementModel,
@@ -46,6 +36,7 @@ from .quantum import (
     outcome_tables,
     weak_value,
 )
+from .tables import _box2, _check_tables, _postselected, _signal_average
 
 __all__ = [
     "ClassicalMatchedProtocol",
@@ -136,14 +127,12 @@ def _quantum_shifts(i: TwoLevelState, f: TwoLevelState, lam):
 
 def _classical_metric(protocol: ClassicalMatchedProtocol, metric: str, g: np.ndarray):
     q, q0 = _matched_switching(protocol.theta, g)
-    t = _check_tables(joint_tables(1.0, g, q, q0))
-    pf = _box2(t)
+    # P(box 2) >= q / 2 > 0 on the matched family (p1 = 1, q > 0), so the postselection check cannot fire
+    ps, pf = _postselected(_check_tables(joint_tables(1.0, g, q, q0)))
     # p1 = 1, so the undisturbed protocol never ends in box 2 and the shift is P(box 2)
     if metric in ("postselection_probability", "postselection_shift"):
         return pf
-    if (pf <= 0.0).any():
-        raise DomainError("postselection never occurs: P(final box 2) = 0")
-    mean = _signal_average(t[..., 0, 1], pf, 1.0 / g, -1.0 / g)
+    mean = _signal_average(ps, pf, 1.0 / g, -1.0 / g)
     return mean if metric == "conditional_mean" else np.abs(mean - protocol.target)
 
 

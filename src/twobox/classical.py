@@ -31,14 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contextual import _check_bias, _check_finite
+from .contextual import _check_bias, _check_finite, _check_unit_interval
 from .errors import DomainError, ValidationError
+# SIGNALS and BOXES are imported so that they stay importable from this module.
+from .tables import BOXES, SIGNALS, JointDistribution, _postselected, _signal_average, _stack  # noqa: F401
 
 __all__ = [
-    "SIGNALS",
-    "BOXES",
     "ClassicalParams",
-    "JointDistribution",
     "joint_distribution",
     "joint_tables",
     "unconditional_mean",
@@ -46,47 +45,6 @@ __all__ = [
     "fc_match_params",
     "min_disturbance_for_value",
 ]
-
-SIGNALS = ("S", "Sbar")
-BOXES = (1, 2)
-_CELLS = {(s, b): (i, j) for i, s in enumerate(SIGNALS) for j, b in enumerate(BOXES)}
-
-
-def _cell(signal: str, box: int) -> tuple:
-    """(row, column) of a detector outcome and a final box in a 2x2 joint or count table."""
-    if signal not in SIGNALS:
-        raise ValidationError(f"signal must be one of {SIGNALS}, got {signal!r}")
-    cell = None if isinstance(box, bool) else _CELLS.get((signal, box))
-    if cell is None:
-        raise ValidationError(f"final_box must be 1 or 2, got {box!r}")
-    return cell
-
-
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def _check_tables(t):
-    """Check a ``(..., 2, 2)`` stack of joint tables and return it clipped at 0.
-
-    Each table must be finite, nonnegative and sum to 1, all within 1e-12;
-    an error names the first failing table.
-    """
-    cells = t.reshape(-1, 4)
-    if not np.isfinite(cells).all():
-        raise ValidationError("joint table entries must be finite")
-    negative = (cells < -1e-12).any(axis=1)
-    if negative.any():
-        table = cells[negative.argmax()].reshape(2, 2)
-        raise ValidationError(f"joint table entries must be nonnegative, got {table.tolist()}")
-    total = cells.sum(axis=1)
-    off = abs(total - 1.0) > 1e-12
-    if off.any():
-        raise ValidationError(f"joint table must sum to 1, got {float(total[off.argmax()])!r}")
-    return np.maximum(t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -122,43 +80,6 @@ class ClassicalParams:
         return 1.0 - self.p1
 
 
-class JointDistribution:
-    """Exact joint probability table over (signal outcome, final box).
-
-    Rows are the detector outcomes ``"S"`` and ``"Sbar"``; columns are the
-    final boxes 1 and 2. The same container is used by the quantum engine,
-    where "final box 2" stands for a successful postselection and
-    "final box 1" for its complement.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table):
-        t = np.array(table, dtype=float)
-        if t.shape != (2, 2):
-            raise ValidationError(f"joint table must be 2x2, got shape {t.shape}")
-        t = _check_tables(t)
-        t.flags.writeable = False
-        self._table = t
-
-    @property
-    def table(self) -> np.ndarray:
-        """The 2x2 probability array (read-only). Rows: S, Sbar. Columns: box 1, box 2."""
-        return self._table
-
-    def p(self, signal: str, box: int) -> float:
-        return float(self._table[_cell(signal, box)])
-
-    def p_signal(self, signal: str) -> float:
-        return sum(self.p(signal, box) for box in BOXES)
-
-    def p_box(self, box: int) -> float:
-        return sum(self.p(signal, box) for signal in SIGNALS)
-
-    def __repr__(self):
-        return f"JointDistribution({self._table.tolist()!r})"
-
-
 def _column(p1, g, q, q0, final_box: int):
     """P(S, final box) and P(Sbar, final box), each the sum of its two paths, initial box 1 first."""
     p2 = 1.0 - p1
@@ -178,24 +99,12 @@ def joint_tables(p1, g, q, q0) -> np.ndarray:
     """
     # [()] makes 0-d input numpy scalars, whose arithmetic is much cheaper
     p1, g, q, q0 = (np.asarray(v, dtype=float)[()] for v in (p1, g, q, q0))
-    cells = (*_column(p1, g, q, q0, 1), *_column(p1, g, q, q0, 2))
-    t = np.empty(np.broadcast(*cells).shape + (2, 2))
-    t[..., 0, 0], t[..., 1, 0], t[..., 0, 1], t[..., 1, 1] = cells
-    return t
+    return _stack(*_column(p1, g, q, q0, 1), *_column(p1, g, q, q0, 2))
 
 
 def joint_distribution(params: ClassicalParams) -> JointDistribution:
     """The exact joint table of one parameter set; see :func:`joint_tables`."""
     return JointDistribution(joint_tables(params.p1, params.g, params.q, params.q0))
-
-
-def _box2(t):
-    return t[..., 0, 1] + t[..., 1, 1]
-
-
-def _signal_average(p_signal_f, p_f, alpha_s, alpha_sbar):
-    ps = p_signal_f / p_f
-    return alpha_s * ps + alpha_sbar * (1.0 - ps)
 
 
 def unconditional_mean(dist: JointDistribution, cv) -> float:
@@ -212,10 +121,7 @@ def conditional_mean(dist: JointDistribution, cv, final_box: int = 2) -> float:
         If the conditioning box has probability zero, i.e. the
         postselection never occurs.
     """
-    pf = dist.p_box(final_box)
-    if pf <= 0.0:
-        raise DomainError(f"postselection never occurs: P(final box {final_box}) = 0")
-    return _signal_average(dist.p(signal="S", box=final_box), pf, cv.alpha_s, cv.alpha_sbar)
+    return float(_signal_average(*_postselected(dist.table, final_box), cv.alpha_s, cv.alpha_sbar))
 
 
 def fc_match_params(theta: float, g: float) -> ClassicalParams:

@@ -60,6 +60,7 @@ from .montecarlo import (
 )
 from .quantum import (
     MeasurementModel,
+    _overlap,
     conditional_mean_quantum,
     expectation,
     joint_outcome_probs,
@@ -67,6 +68,7 @@ from .quantum import (
     quantum_disturbance,
     weak_value,
 )
+from .tables import BOXES, SIGNALS
 
 __all__ = ["MODES", "main", "run", "validate_result_document"]
 
@@ -125,10 +127,14 @@ def _flag(cfg: dict, key: str, default: bool = False) -> bool:
     return value
 
 
-def _run_classical(cfg: dict, seed) -> _ModeOutcome:
-    params = ClassicalParams(
+def _classical_params(cfg: dict) -> ClassicalParams:
+    return ClassicalParams(
         p1=_number(cfg, "p1"), g=_number(cfg, "g"), q=_number(cfg, "q"), q0=_number(cfg, "q0")
     )
+
+
+def _run_classical(cfg: dict, seed) -> _ModeOutcome:
+    params = _classical_params(cfg)
     final_box = _integer(cfg, "final_box", default=2)
     dist = joint_distribution(params)
     cv = ContextualValues.symmetric(params.g)
@@ -151,20 +157,23 @@ def _run_classical(cfg: dict, seed) -> _ModeOutcome:
     return _ModeOutcome(result=result, summary=summary)
 
 
+def _quantum_protocol(cfg: dict) -> QuantumProtocol:
+    return QuantumProtocol(p1=_number(cfg, "p1"), theta=_number(cfg, "theta"))
+
+
 def _quantum_states(cfg: dict) -> tuple:
-    protocol = QuantumProtocol(p1=_number(cfg, "p1"), theta=_number(cfg, "theta"))
+    protocol = _quantum_protocol(cfg)
     return protocol.preparation, protocol.postselection
 
 
 def _run_quantum(cfg: dict, seed) -> _ModeOutcome:
     i, f = _quantum_states(cfg)
     aw = weak_value(i, f)
-    overlap = complex(np.conj(f.vector) @ i.vector)
     result = {
         "weak_value": aw.real,
         "weak_value_imag": aw.imag,
         "expectation": expectation(i),
-        "overlap_probability": abs(overlap) ** 2,
+        "overlap_probability": abs(_overlap(i, f)) ** 2,
     }
     summary = f"quantum: weak value {aw.real:.6g}, expectation {result['expectation']:.6g}"
     if "lambda" in cfg:
@@ -257,7 +266,7 @@ def _protocol_from_config(cfg: dict):
     name = _string(cfg, "protocol", ("classical", "quantum"))
     if name == "classical":
         return ClassicalMatchedProtocol(theta=_number(cfg, "theta"))
-    return QuantumProtocol(p1=_number(cfg, "p1"), theta=_number(cfg, "theta"))
+    return _quantum_protocol(cfg)
 
 
 def _run_sweep(cfg: dict, seed) -> _ModeOutcome:
@@ -296,8 +305,8 @@ def _run_sweep(cfg: dict, seed) -> _ModeOutcome:
     )
 
 
-# The text after the trial number of a trace CSV row, by table cell (2 * row + column).
-_TRACE_ROW_ENDS = (",S,1\n", ",S,2\n", ",Sbar,1\n", ",Sbar,2\n")
+# The text after the trial number of a trace CSV row, by flat table cell.
+_TRACE_ROW_ENDS = tuple(f",{signal},{box}\n" for signal in SIGNALS for box in BOXES)
 
 
 def _run_sample(cfg: dict, seed) -> _ModeOutcome:
@@ -307,9 +316,7 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
     n = _integer(cfg, "n", minimum=1)
     trace = _flag(cfg, "trace")
     if name == "classical":
-        params = ClassicalParams(
-            p1=_number(cfg, "p1"), g=_number(cfg, "g"), q=_number(cfg, "q"), q0=_number(cfg, "q0")
-        )
+        params = _classical_params(cfg)
         exact = joint_distribution(params)
         cv = ContextualValues.symmetric(params.g)
         trials = sample_classical_trace(params, n, seed) if trace else None
@@ -545,15 +552,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return run(config, seed=args.seed, out=args.out, fmt=args.fmt, quiet=args.quiet)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except TwoBoxError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(err, DomainError) else 2
 
 
 if __name__ == "__main__":

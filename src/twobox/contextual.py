@@ -34,6 +34,13 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _check_unit_interval(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
 def _check_bias(g) -> np.ndarray:
     """``g`` as floats (a numpy scalar for 0-d input), after checking every detector bias is in (0, 1]."""
     g = np.asarray(g, dtype=float)[()]

@@ -9,6 +9,8 @@ were individually fine but the requested quantity does not exist there
 overlap) and maps to exit code 3.
 """
 
+__all__ = ["TwoBoxError", "ValidationError", "DomainError"]
+
 
 class TwoBoxError(Exception):
     """Base class for all package-specific errors."""

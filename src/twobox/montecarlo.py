@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BOXES, SIGNALS, ClassicalParams, JointDistribution, joint_distribution
-from .classical import _cell, _signal_average
+from .classical import ClassicalParams, joint_distribution
 from .contextual import ContextualValues
 from .errors import DomainError, ValidationError
 from .quantum import MeasurementModel, TwoLevelState, joint_outcome_probs
+from .tables import BOXES, SIGNALS, JointDistribution, _cell, _flat_cells, _signal_average
 
 __all__ = [
     "TrialRecord",
@@ -118,10 +118,7 @@ class TrialRecord:
     final_box: int
 
     def __post_init__(self):
-        if self.signal not in SIGNALS:
-            raise ValidationError(f"signal must be one of {SIGNALS}, got {self.signal!r}")
-        if self.final_box not in BOXES:
-            raise ValidationError(f"final_box must be 1 or 2, got {self.final_box!r}")
+        _cell(self.signal, self.final_box)
 
 
 class TrialTrace:
@@ -159,8 +156,8 @@ class TrialTrace:
             yield TrialRecord(signal="S" if s else "Sbar", final_box=box)
 
     def _cells(self, lo: int, hi: int) -> np.ndarray:
-        """Flat table cell, 2 * row + column in the layout of ``classical._cell``, of trials ``lo..hi``."""
-        return np.where(self.signal[lo:hi], 0, 2) + self.final_box[lo:hi] - 1
+        """Flat table cell, in ``ravel()`` order, of trials ``lo..hi``."""
+        return _flat_cells(self.signal[lo:hi], self.final_box[lo:hi])
 
     def __eq__(self, other):
         if not isinstance(other, TrialTrace):

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import JointDistribution, _box2, _check_tables, _check_unit_interval, _signal_average
-from .contextual import ContextualValues
+from .contextual import ContextualValues, _check_unit_interval
 from .errors import DomainError, ValidationError
+from .tables import JointDistribution, _box2, _check_tables, _postselected, _signal_average, _stack
 
 __all__ = [
     "TwoLevelState",
@@ -184,12 +184,14 @@ def outcome_tables(i: TwoLevelState, f: TwoLevelState, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)[()]  # numpy scalar for 0-d input: cheaper arithmetic
     with np.errstate(invalid="ignore"):
         c_plus, c_minus = np.sqrt((1.0 + lam) / 2.0), np.sqrt((1.0 - lam) / 2.0)
-    t = np.empty(lam.shape + (2, 2))
-    for row, (c1, c2) in enumerate(((c_plus, c_minus), (c_minus, c_plus))):
+
+    def row(c1, c2):
+        """P(box 1) and P(box 2) jointly with the outcome of Kraus operator diag(c1, c2)."""
         psi1, psi2 = c1 * i.a1, c2 * i.a2
-        for col, (u1, u2) in enumerate(((-f.a2, f.a1), (f.a1.conjugate(), f.a2.conjugate()))):
-            t[..., row, col] = _abs2(u1 * psi1 + u2 * psi2)
-    return t
+        return _abs2(-f.a2 * psi1 + f.a1 * psi2), _abs2(f.a1.conjugate() * psi1 + f.a2.conjugate() * psi2)
+
+    (s1, s2), (sbar1, sbar2) = row(c_plus, c_minus), row(c_minus, c_plus)
+    return _stack(s1, sbar1, s2, sbar2)
 
 
 def joint_outcome_probs(
@@ -214,14 +216,11 @@ def _conditional_means(i: TwoLevelState, f: TwoLevelState, lam, cv=None):
     lam = np.asarray(lam, dtype=float)
     if (lam == 0.0).any():
         raise DomainError("conditional mean undefined at zero coupling (lam = 0)")
-    t = _check_tables(outcome_tables(i, f, lam))
-    pf = _box2(t)
-    if (pf <= 0.0).any():
-        raise DomainError("postselection never occurs: P(f) = 0")
+    ps, pf = _postselected(_check_tables(outcome_tables(i, f, lam)))
     if cv is None:
         x, y = f.a1.conjugate() * i.a1, f.a2.conjugate() * i.a2
         return (_abs2(x) - _abs2(y)) / pf
-    return _signal_average(t[..., 0, 1], pf, cv.alpha_s, cv.alpha_sbar)
+    return _signal_average(ps, pf, cv.alpha_s, cv.alpha_sbar)
 
 
 def conditional_mean_quantum(

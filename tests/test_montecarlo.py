@@ -73,6 +73,21 @@ class TestTrialRecord:
         with pytest.raises(ValidationError, match="final_box"):
             TrialRecord(signal="Sbar", final_box=0)
 
+    @pytest.mark.parametrize(
+        "signal, box, named",
+        [
+            ("S", True, "final_box"),
+            ("S", np.True_, "final_box"),
+            ("S", 0, "final_box"),
+            ("Sbar", 3, "final_box"),
+            ("S", [1], "final_box"),
+            ("X", 1, "signal"),
+        ],
+    )
+    def test_rejects_what_a_count_table_rejects(self, signal, box, named):
+        with pytest.raises(ValidationError, match=named):
+            TrialRecord(signal, box)
+
 
 class TestCountTable:
     def test_total_and_accessors(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from twobox import (
@@ -15,6 +17,7 @@ from twobox import (
     density_matrix,
     expectation,
     joint_outcome_probs,
+    outcome_tables,
     postselection_probability,
     quantum_disturbance,
     trace_distance,
@@ -331,3 +334,38 @@ class TestPostselectionProbability:
             assert postselection_probability(i, m, f) == pytest.approx(
                 joint_outcome_probs(i, m, f).p_box(2), rel=1e-12, abs=1e-14
             )
+
+
+angles = st.floats(0.0, 2.0 * math.pi)
+# a1 = cos(alpha) e^(i phi1), a2 = sin(alpha) e^(i phi2): every normalized state up to a global phase
+states = st.builds(
+    lambda alpha, phi1, phi2: TwoLevelState(
+        a1=math.cos(alpha) * complex(math.cos(phi1), math.sin(phi1)),
+        a2=math.sin(alpha) * complex(math.cos(phi2), math.sin(phi2)),
+    ),
+    st.floats(0.0, math.pi / 2),
+    angles,
+    angles,
+)
+
+
+class TestKrausReferences:
+    """The closed forms against the Kraus operators and density matrices they abbreviate."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(i=states, f=states, lam=st.floats(0.0, 1.0))
+    def test_outcome_tables(self, i, f, lam):
+        m = MeasurementModel(lam)
+        t = outcome_tables(i, f, lam)
+        for row, kraus in enumerate((m.kraus_signal, m.kraus_no_signal)):
+            after = kraus @ i.vector
+            p_f = abs(np.conj(f.vector) @ after) ** 2
+            assert t[row, 1] == pytest.approx(p_f, abs=1e-12)
+            assert t[row, 0] == pytest.approx(np.vdot(after, after).real - p_f, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(i=states, lam=st.floats(0.0, 1.0))
+    def test_disturbance(self, i, lam):
+        m = MeasurementModel(lam)
+        reference = trace_distance(density_matrix(i), unconditioned_post_measurement_state(i, m))
+        assert quantum_disturbance(i, m) == pytest.approx(reference, abs=1e-12)

@@ -167,11 +167,7 @@ def metric_names(protocol) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """One metric evaluated along a strictly monotone strength grid.
-
-    ``stderrs`` is None for exact engines and carries one standard error
-    per point for sampled data.
-    """
+    """One metric evaluated along a strictly monotone strength grid."""
 
     parameter: str
     strengths: np.ndarray
@@ -179,7 +175,6 @@ class SweepResult:
     protocol: str
     metric: str
     fixed: dict = field(default_factory=dict)
-    stderrs: np.ndarray | None = None
 
     def __post_init__(self):
         s = np.asarray(self.strengths, dtype=float)
@@ -191,23 +186,22 @@ class SweepResult:
                 f"values shape {v.shape} does not match strengths shape {s.shape}"
             )
         diffs = np.diff(s)
-        if s.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValidationError("strengths must be strictly monotone")
-        if not np.all(np.isfinite(s)) or not np.all(np.isfinite(v)):
-            raise ValidationError("strengths and values must be finite")
+        _check_sweep(np.all(diffs > 0), np.all(diffs < 0), np.isfinite(s).all() and np.isfinite(v).all())
         s.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "strengths", s)
         object.__setattr__(self, "values", v)
-        if self.stderrs is not None:
-            e = np.asarray(self.stderrs, dtype=float)
-            if e.shape != s.shape or not np.all(np.isfinite(e)) or np.any(e < 0):
-                raise ValidationError("stderrs must be finite nonnegative, one per point")
-            e.flags.writeable = False
-            object.__setattr__(self, "stderrs", e)
 
     def __len__(self):
         return int(self.strengths.size)
+
+
+def _check_sweep(rising: bool, falling: bool, finite: bool) -> None:
+    """Raise the grid error of a sweep: all steps rising or all falling, then every number finite."""
+    if not (rising or falling):
+        raise ValidationError("strengths must be strictly monotone")
+    if not finite:
+        raise ValidationError("strengths and values must be finite")
 
 
 def _raise_first_failure(evaluate, protocol, metric: str, grid: np.ndarray, whole_grid_error) -> None:
@@ -232,14 +226,49 @@ def _raise_first_failure(evaluate, protocol, metric: str, grid: np.ndarray, whol
     raise whole_grid_error  # reached only if some check is not point-wise
 
 
+def _metric_values(protocol, metric: str, strengths) -> tuple:
+    """``(grid, values)`` of one metric, with :func:`sweep_metric`'s errors except the grid checks."""
+    if isinstance(protocol, ClassicalMatchedProtocol):
+        evaluate = _classical_metric
+    elif isinstance(protocol, QuantumProtocol):
+        evaluate = _quantum_metric
+    else:
+        raise ValidationError(f"unknown protocol object {protocol!r}")
+    if metric not in metric_names(protocol):
+        raise ValidationError(
+            f"unknown metric {metric!r}; choose from {list(metric_names(protocol))}"
+        )
+    grid = np.asarray(strengths, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValidationError("strengths must be a nonempty 1-D grid")
+    try:
+        values = evaluate(protocol, metric, grid)
+    except TwoBoxError as err:
+        _raise_first_failure(evaluate, protocol, metric, grid, err)
+    return grid, values
+
+
+def _check_blocks(protocol, metric: str, blocks) -> None:
+    """Raise what :func:`sweep_metric` on the blocks joined in order raises, holding one block at a time."""
+    rising = falling = finite = True
+    last = np.empty(0)
+    for block in blocks:
+        strengths, values = _metric_values(protocol, metric, block)
+        steps = np.diff(strengths, prepend=last)
+        rising = rising and bool(np.all(steps > 0))
+        falling = falling and bool(np.all(steps < 0))
+        finite = finite and bool(np.all(np.isfinite(strengths)) and np.all(np.isfinite(values)))
+        last = strengths[-1:]
+    _check_sweep(rising, falling, finite)
+
+
 def sweep_metric(protocol, metric: str, strengths) -> SweepResult:
     """Evaluate one metric at every strength on the grid.
 
-    The whole grid goes through the protocol's array kernel in one call,
-    so there is no worker count (``TWOBOX_WORKERS`` is validated by the CLI
-    but selects nothing). Points are checked as one-at-a-time evaluation
-    would check them, and the error raised is the one the first failing
-    point, in grid order, would raise.
+    The whole grid goes through the protocol's array kernel in one call;
+    the CLI streams long grids through it one block at a time. Points are
+    checked as one-at-a-time evaluation would check them, and the error
+    raised is the one the first failing point, in grid order, would raise.
 
     Parameters
     ----------
@@ -259,24 +288,7 @@ def sweep_metric(protocol, metric: str, strengths) -> SweepResult:
         If the metric is undefined at some grid point; the message names
         the offending point.
     """
-    if isinstance(protocol, ClassicalMatchedProtocol):
-        evaluate = _classical_metric
-    elif isinstance(protocol, QuantumProtocol):
-        evaluate = _quantum_metric
-    else:
-        raise ValidationError(f"unknown protocol object {protocol!r}")
-    if metric not in metric_names(protocol):
-        raise ValidationError(
-            f"unknown metric {metric!r}; choose from {list(metric_names(protocol))}"
-        )
-    grid = np.asarray(strengths, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("strengths must be a nonempty 1-D grid")
-
-    try:
-        values = evaluate(protocol, metric, grid)
-    except TwoBoxError as err:
-        _raise_first_failure(evaluate, protocol, metric, grid, err)
+    grid, values = _metric_values(protocol, metric, strengths)
     return SweepResult(
         parameter=protocol.parameter,
         strengths=grid,

@@ -10,23 +10,20 @@ to compute; the remaining keys are mode parameters (see the README for the
 full schema). Results are written as a JSON document with ``mode``,
 ``result`` and ``provenance`` sections, or as CSV for tabular modes:
 ``param,value,metric,stderr`` rows for sweeps, ``trial,signal,final_box``
-rows for trial traces. Without ``--out`` (or an ``out`` config key) the
-document goes to stdout and the one-line summary to stderr; with a path
-the file is written atomically (temp file, then rename) and the summary
-goes to stdout.
+rows for trial traces, written one block of rows at a time. Without ``--out``
+(or an ``out`` config key) the document goes to stdout and the one-line
+summary to stderr; with a path the file is written atomically (temp file,
+then rename) and the summary goes to stdout.
 
 Exit codes: 0 success, 2 malformed config or arguments, 3 well-formed
 request whose answer is undefined (zero-probability postselection,
 orthogonal postselection, divergent target value).
-
-The environment variable ``TWOBOX_WORKERS``, when set, must be a positive
-integer; it is validated but no longer selects anything, since sweeps run
-as one array computation.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -40,6 +37,7 @@ from . import __version__
 from .analysis import (
     ClassicalMatchedProtocol,
     QuantumProtocol,
+    _check_blocks,
     projector_weak_values,
     quantum_postselection_shift,
     sweep_metric,
@@ -82,8 +80,7 @@ class _ModeOutcome:
     result: dict
     summary: str
     csv_header: tuple | None = None
-    csv_rows: int = 0
-    csv_text: object = None  # (lo, hi) -> CSV text of rows lo..hi, called only when CSV is written
+    rows: object = None  # fmt -> the CSV rows, or the JSON of result["points"], as text one block at a time
 
 
 def _config_value(cfg: dict, key: str, default=_MISSING):
@@ -235,7 +232,8 @@ def _run_witness(cfg: dict, seed) -> _ModeOutcome:
     return _ModeOutcome(result=result, summary=summary)
 
 
-def _strength_grid(cfg: dict) -> np.ndarray:
+def _strength_grid(cfg: dict) -> tuple:
+    """``(points, block)``: the grid size, and ``block(lo, hi)`` giving strengths lo..hi as floats."""
     raw = cfg.get("strengths")
     if isinstance(raw, list):
         if not raw:
@@ -243,7 +241,7 @@ def _strength_grid(cfg: dict) -> np.ndarray:
         for value in raw:
             if not _is_finite_number(value):
                 raise ValidationError(f"strengths entries must be finite numbers, got {value!r}")
-        return np.asarray(raw, dtype=float)
+        return len(raw), lambda lo, hi: np.asarray(raw[lo:hi], dtype=float)
     if isinstance(raw, dict):
         start = _number(raw, "from")
         stop = _number(raw, "to")
@@ -251,15 +249,29 @@ def _strength_grid(cfg: dict) -> np.ndarray:
         scale = raw.get("scale", "linear")
         if scale not in ("linear", "log"):
             raise ValidationError(f"strengths scale must be 'linear' or 'log', got {scale!r}")
-        if scale == "log":
-            if start <= 0 or stop <= 0:
-                raise ValidationError("log-scale strengths require positive 'from' and 'to'")
-            return np.geomspace(start, stop, points)
-        return np.linspace(start, stop, points)
+        if scale == "log" and (start <= 0 or stop <= 0):
+            raise ValidationError("log-scale strengths require positive 'from' and 'to'")
+        return points, lambda lo, hi: _range_block(start, stop, points, lo, hi, scale == "log")
     raise ValidationError(
         "sweep mode requires 'strengths': either a list of values or "
         "{'from': a, 'to': b, 'points': n, 'scale': 'linear'|'log'}"
     )
+
+
+def _range_block(start: float, stop: float, points: int, lo: int, hi: int, log: bool) -> np.ndarray:
+    """``np.linspace`` (or ``np.geomspace``) ``(start, stop, points)[lo:hi]`` bit for bit, by numpy's formula."""
+    a, b = (np.log10(start), np.log10(stop)) if log else (start, stop)
+    div = max(points - 1, 1)
+    step = (b - a) / div
+    y = np.arange(lo, hi, dtype=float)
+    y = (y * step if step else y / div * (b - a)) + a  # numpy divides first when the step underflows
+    if log:
+        y = 10.0**y
+        if lo == 0:
+            y[0] = start
+    if hi == points > 1:
+        y[-1] = stop
+    return y
 
 
 def _protocol_from_config(cfg: dict):
@@ -269,40 +281,41 @@ def _protocol_from_config(cfg: dict):
     return _quantum_protocol(cfg)
 
 
+# One item of a sweep's "points" list, as json.dumps(indent=2) writes it there.
+_JSON_POINT = '      {\n        "param": %r,\n        "stderr": null,\n        "value": %r\n      }'
+# Stands in for the points in the document serialized around them.
+_POINTS = "\x00points"
+
+
 def _run_sweep(cfg: dict, seed) -> _ModeOutcome:
     protocol = _protocol_from_config(cfg)
     metric = cfg.get("metric")
     if not isinstance(metric, str):
         raise ValidationError(f"config key 'metric' must be a string, got {metric!r}")
-    grid = _strength_grid(cfg)
-    res = sweep_metric(protocol, metric, grid)
-    points = [
-        {"param": float(s), "value": float(v), "stderr": None}
-        for s, v in zip(res.strengths, res.values)
-    ]
+    points, grid = _strength_grid(cfg)
+    _check_blocks(protocol, metric, (grid(lo, hi) for lo, hi in _blocks(points)))  # before any output
+    ends = (float(grid(0, 1)[0]), float(grid(points - 1, points)[0]))  # the grid is monotone
     result = {
-        "parameter": res.parameter,
-        "metric": res.metric,
-        "protocol": res.protocol,
-        "fixed": res.fixed,
-        "points": points,
+        "parameter": protocol.parameter,
+        "metric": metric,
+        "protocol": protocol.label,
+        "fixed": protocol.fixed(),
+        "points": _POINTS,
     }
     summary = (
-        f"sweep: {res.metric} at {len(points)} values of {res.parameter} "
-        f"in [{res.strengths.min():.6g}, {res.strengths.max():.6g}]"
+        f"sweep: {metric} at {points} values of {protocol.parameter} "
+        f"in [{min(ends):.6g}, {max(ends):.6g}]"
     )
-    return _ModeOutcome(
-        result=result,
-        summary=summary,
-        csv_header=("param", "value", "metric", "stderr"),
-        csv_rows=len(points),
-        csv_text=lambda lo, hi: "".join(
-            [
-                f"{s:.17g},{v:.17g},{res.metric},\n"
-                for s, v in zip(res.strengths[lo:hi].tolist(), res.values[lo:hi].tolist())
-            ]
-        ),
-    )
+
+    def rows(fmt: str):
+        row, sep = (_JSON_POINT, ",\n") if fmt == "json" else ("%.17g,%.17g," + metric + ",\n", "")
+        for lo, hi in _blocks(points):
+            res = sweep_metric(protocol, metric, grid(lo, hi))
+            if lo:
+                yield sep
+            yield sep.join([row % pair for pair in zip(res.strengths.tolist(), res.values.tolist())])
+
+    return _ModeOutcome(result, summary, ("param", "value", "metric", "stderr"), rows)
 
 
 # The text after the trial number of a trace CSV row, by flat table cell.
@@ -356,17 +369,12 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
         f"sample: n = {n}, conditional mean {mean:.6g} +/- {stderr:.2g} "
         f"(exact {exact_mean:.6g})"
     )
-    if not trace:
-        return _ModeOutcome(result=result, summary=summary)
-    return _ModeOutcome(
-        result=result,
-        summary=summary,
-        csv_header=("trial", "signal", "final_box"),
-        csv_rows=n,
-        csv_text=lambda lo, hi: "".join(
-            [f"{k}{_TRACE_ROW_ENDS[c]}" for k, c in zip(range(lo, hi), trials._cells(lo, hi).tolist())]
-        ),
-    )
+
+    def rows(fmt: str):
+        for lo, hi in _blocks(n):
+            yield "".join([f"{k}{_TRACE_ROW_ENDS[c]}" for k, c in zip(range(lo, hi), trials._cells(lo, hi).tolist())])
+
+    return _ModeOutcome(result, summary, ("trial", "signal", "final_box") if trace else None, rows)
 
 
 _RUNNERS = {
@@ -425,17 +433,6 @@ def validate_result_document(doc: dict) -> None:
     _walk_finite(doc["result"], "result")
 
 
-def _json_text(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _csv_chunks(outcome: _ModeOutcome):
-    """The CSV document in pieces: the header line, then the rows one block at a time."""
-    yield ",".join(outcome.csv_header) + "\n"
-    for lo, hi in _blocks(outcome.csv_rows):
-        yield outcome.csv_text(lo, hi)
-
-
 def _write_atomic(path: str, chunks) -> None:
     """Write the text chunks to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -450,19 +447,6 @@ def _write_atomic(path: str, chunks) -> None:
         except OSError:
             pass
         raise
-
-
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("TWOBOX_WORKERS")
-    if raw is None or raw == "":
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValidationError(f"TWOBOX_WORKERS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def _resolve_seed(config: dict, flag_seed) -> int | None:
@@ -488,7 +472,6 @@ def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int
     out = out if out is not None else config.get("out")
     if out is not None and (not isinstance(out, str) or not out):
         raise ValidationError(f"output path must be a nonempty string, got {out!r}")
-    _workers_from_env()
 
     outcome = _RUNNERS[mode](config, resolved_seed)
     document = {
@@ -502,14 +485,18 @@ def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int
     }
     validate_result_document(document)
     if fmt == "json":
-        chunks = [_json_text(document)]
+        chunks = [json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"]
+        if outcome.result.get("points") is _POINTS:
+            # the config echoed in provenance sorts before result, and only "protocol" follows "points"
+            head, _, tail = chunks[0].rpartition(json.dumps(_POINTS))
+            chunks = itertools.chain([head + "[\n"], outcome.rows("json"), ["\n    ]" + tail])
+    elif outcome.csv_header is None:
+        raise ValidationError(
+            f"csv output is not available for mode {mode!r}; "
+            "it applies to sweeps and trial traces"
+        )
     else:
-        if outcome.csv_text is None:
-            raise ValidationError(
-                f"csv output is not available for mode {mode!r}; "
-                "it applies to sweeps and trial traces"
-            )
-        chunks = _csv_chunks(outcome)
+        chunks = itertools.chain([",".join(outcome.csv_header) + "\n"], outcome.rows("csv"))
 
     if out is not None:
         try:

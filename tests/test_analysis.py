@@ -247,10 +247,6 @@ class TestSweepResult:
         with pytest.raises(ValidationError, match="shape"):
             SweepResult("g", [0.1, 0.2], [1.0], "p", "m")
 
-    def test_stderr_validated(self):
-        with pytest.raises(ValidationError, match="stderrs"):
-            SweepResult("g", [0.1, 0.2], [1.0, 2.0], "p", "m", stderrs=[-0.1, 0.1])
-
     def test_arrays_read_only(self):
         res = SweepResult("g", [0.1, 0.2], [1.0, 2.0], "p", "m")
         with pytest.raises(ValueError):

@@ -5,19 +5,25 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from twobox import (
+    ClassicalMatchedProtocol,
     ContextualValues,
     CountTable,
     MeasurementModel,
     Postselection,
+    QuantumProtocol,
     TwoLevelState,
     ValidationError,
+    __version__,
     conditional_mean_quantum,
     estimate_conditional_mean,
+    sweep_metric,
 )
-from twobox.cli import MODES, _write_atomic, main, run, validate_result_document
+from twobox.cli import MODES, _range_block, _write_atomic, main, run, validate_result_document
+from twobox.montecarlo import _BLOCK as BLOCK
 
 MATCHED_CFG = {
     "mode": "classical",
@@ -249,6 +255,136 @@ class TestSweepMode:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def reference_sweep_bytes(config, fmt):
+    """A sweep document written the simple way: whole grid, one dict per point, one json.dumps."""
+    spec = config["strengths"]
+    if isinstance(spec, list):
+        grid = np.asarray(spec, dtype=float)
+    elif spec.get("scale") == "log":
+        grid = np.geomspace(spec["from"], spec["to"], spec["points"])
+    else:
+        grid = np.linspace(spec["from"], spec["to"], spec["points"])
+    if config["protocol"] == "quantum":
+        protocol = QuantumProtocol(config["p1"], config["theta"])
+    else:
+        protocol = ClassicalMatchedProtocol(config["theta"])
+    res = sweep_metric(protocol, config["metric"], grid)
+    if fmt == "csv":
+        rows = [f"{s:.17g},{v:.17g},{res.metric},\n" for s, v in zip(res.strengths.tolist(), res.values.tolist())]
+        return ("param,value,metric,stderr\n" + "".join(rows)).encode()
+    points = [{"param": s, "value": v, "stderr": None} for s, v in zip(res.strengths.tolist(), res.values.tolist())]
+    result = {"parameter": res.parameter, "metric": res.metric, "protocol": res.protocol, "fixed": res.fixed}
+    document = {
+        "mode": "sweep",
+        "result": dict(result, points=points),
+        "provenance": {"engine": f"twobox {__version__}", "config": config, "seed": None},
+    }
+    return (json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+
+
+class TestStreamedSweep:
+    """Sweeps are checked, then formatted and written, one block of points at a time."""
+
+    QUANTUM = {"mode": "sweep", "protocol": "quantum", "p1": 0.75, "theta": math.pi / 3, "metric": "conditional_mean"}
+
+    def test_quantum_json_bytes_pinned(self, tmp_path, capsys):
+        # sha256 recorded when sweeps were written as one json.dumps of per-point dicts
+        cfg = dict(self.QUANTUM, strengths={"from": 1e-12, "to": 1e-1, "points": BLOCK + 1, "scale": "log"})
+        out = tmp_path / "sweep.json"
+        run(cfg, out=str(out), quiet=True)
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == "c09be24ceb04ad2f645a5aa36748f117d40921d8b8ffcfa866cb8f1de968163a"
+        run(cfg, quiet=True)
+        assert capsys.readouterr().out.encode() == data
+
+    @pytest.mark.parametrize("points", [1, 2, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize(
+        "kind, base",
+        [
+            ("log", dict(QUANTUM, strengths={"from": 1e-12, "to": 1e-1, "scale": "log"})),
+            ("linear", dict(QUANTUM, metric="quantum_disturbance", strengths={"from": 0.9, "to": 1e-3})),
+            ("list", {"mode": "sweep", "protocol": "classical", "theta": 1.0, "metric": "postselection_shift"}),
+        ],
+    )
+    def test_bytes_match_the_reference_writer(self, tmp_path, capsys, kind, base, points):
+        if kind == "list":
+            cfg = dict(base, strengths=[0.5 - k * 3e-6 for k in range(points)])
+        else:
+            cfg = dict(base, strengths=dict(base["strengths"], points=points))
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"sweep.{fmt}"
+            run(cfg, out=str(out), fmt=fmt, quiet=True)
+            assert out.read_bytes() == reference_sweep_bytes(cfg, fmt)
+        run(cfg, fmt="csv", quiet=True)
+        assert capsys.readouterr().out.encode() == reference_sweep_bytes(cfg, "csv")
+
+    @pytest.mark.parametrize(
+        "lo, hi, points, log",
+        [
+            (1e-12, 1e-1, 2 * BLOCK + 3, True),
+            (0.4, 1e-6, BLOCK + 1, True),
+            (3e-5, 7e-2, 1, True),
+            (-0.0, 1.0, 1, False),
+            (0.9, -0.25, 2 * BLOCK + 3, False),
+            (0.0, 1e-322, 7, False),  # a step that underflows to zero
+            (0.5, 0.5, 3, False),
+        ],
+    )
+    def test_grid_blocks_are_numpy_grids(self, lo, hi, points, log):
+        whole = np.geomspace(lo, hi, points) if log else np.linspace(lo, hi, points)
+        blocks = [_range_block(lo, hi, points, k, min(k + BLOCK, points), log) for k in range(0, points, BLOCK)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    def grid_with(self, changes):
+        grid = [1e-3 + k * 1e-6 for k in range(BLOCK + 10)]
+        for index, value in changes.items():
+            grid[index] = value
+        return grid
+
+    ZERO_COUPLING = "conditional_mean undefined at lambda = 0.0: conditional mean undefined at zero coupling (lam = 0)"
+
+    @pytest.mark.parametrize(
+        "changes, code, message",
+        [
+            # the first failing point is in the second block
+            ({BLOCK + 3: 0.0}, 3, ZERO_COUPLING),
+            # a kernel error in the second block wins over a grid that is not monotone in the first
+            ({5: 1e-3, BLOCK + 3: 0.0}, 3, ZERO_COUPLING),
+            ({5: 1e-3, BLOCK + 3: 1.5}, 2, "coupling lam must be in [0, 1], got 1.5"),
+            # equal only across the block boundary
+            ({BLOCK: 1e-3 + (BLOCK - 1) * 1e-6}, 2, "strengths must be strictly monotone"),
+            # falling only across the block boundary, rising everywhere else
+            ({BLOCK: 1e-3}, 2, "strengths must be strictly monotone"),
+        ],
+    )
+    def test_failing_sweep_writes_nothing(self, tmp_path, capsys, changes, code, message):
+        path = write_config(tmp_path, dict(self.QUANTUM, strengths=self.grid_with(changes)))
+        out = tmp_path / "sweep.json"
+        for argv in (["--out", str(out)], ["--format", "csv"], []):
+            assert main(["--config", path, *argv]) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_does_not_grow_with_points(self, tmp_path, fmt):
+        # a writer that holds the whole document takes about 1 KB per point (JSON) and 250 B (CSV)
+        def sweep(points):
+            return dict(self.QUANTUM, strengths={"from": 1e-12, "to": 1e-1, "points": points, "scale": "log"})
+
+        run(sweep(1000), out=str(tmp_path / "warm"), fmt=fmt, quiet=True)
+        peaks = {}
+        for points in (200_000, 400_000):
+            tracemalloc.start()
+            try:
+                run(sweep(points), out=str(tmp_path / "sweep"), fmt=fmt, quiet=True)
+                peaks[points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[400_000] - peaks[200_000]) / 200_000 <= 4.0
+
+
 class TestSampleMode:
     CFG = dict(MATCHED_CFG, mode="sample", protocol="classical", n=1000, seed=7)
 
@@ -369,11 +505,6 @@ class TestDeterminism:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
         assert b"workers" not in outputs[0].lower()
-
-    def test_bad_workers_env(self, monkeypatch):
-        monkeypatch.setenv("TWOBOX_WORKERS", "zero")
-        with pytest.raises(ValidationError, match="TWOBOX_WORKERS"):
-            run(dict(TestSweepMode.CFG), quiet=True)
 
 
 class TestResultDocumentValidation:

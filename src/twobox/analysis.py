@@ -66,6 +66,7 @@ class ClassicalMatchedProtocol:
 
     label = "classical_matched"
     parameter = "g"
+    metrics = ("conditional_mean", "conditional_mean_error", "postselection_probability", "postselection_shift")
 
     @property
     def target(self) -> float:
@@ -73,6 +74,16 @@ class ClassicalMatchedProtocol:
 
     def fixed(self) -> dict:
         return {"theta": self.theta}
+
+    def _values(self, metric: str, g: np.ndarray):
+        q, q0 = _matched_switching(self.theta, g)
+        # P(box 2) >= q / 2 > 0 on the matched family (p1 = 1, q > 0), so the postselection check cannot fire
+        ps, pf = _postselected(_check_tables(joint_tables(1.0, g, q, q0)))
+        # p1 = 1, so the undisturbed protocol never ends in box 2 and the shift is P(box 2)
+        if metric in ("postselection_probability", "postselection_shift"):
+            return pf
+        mean = _signal_average(ps, pf, 1.0 / g, -1.0 / g)
+        return mean if metric == "conditional_mean" else np.abs(mean - self.target)
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,7 @@ class QuantumProtocol:
 
     label = "quantum"
     parameter = "lambda"
+    metrics = ClassicalMatchedProtocol.metrics + ("quantum_disturbance",)
 
     @property
     def preparation(self) -> TwoLevelState:
@@ -103,6 +115,19 @@ class QuantumProtocol:
 
     def fixed(self) -> dict:
         return {"p1": self.p1, "theta": self.theta}
+
+    def _values(self, metric: str, lam: np.ndarray):
+        i = self.preparation
+        f = self.postselection
+        lam = _check_coupling(lam)
+        if metric == "postselection_probability":
+            return _box2(outcome_tables(i, f, lam))
+        if metric == "postselection_shift":
+            return _quantum_shifts(i, f, lam)
+        if metric == "quantum_disturbance":
+            return _disturbances(i, lam)
+        mean = _conditional_means(i, f, lam)
+        return mean if metric == "conditional_mean" else np.abs(mean - self.target)
 
 
 def classical_postselection_shift(params: ClassicalParams) -> float:
@@ -125,44 +150,11 @@ def _quantum_shifts(i: TwoLevelState, f: TwoLevelState, lam):
     return np.abs(_box2(outcome_tables(i, f, lam)) - undisturbed)
 
 
-def _classical_metric(protocol: ClassicalMatchedProtocol, metric: str, g: np.ndarray):
-    q, q0 = _matched_switching(protocol.theta, g)
-    # P(box 2) >= q / 2 > 0 on the matched family (p1 = 1, q > 0), so the postselection check cannot fire
-    ps, pf = _postselected(_check_tables(joint_tables(1.0, g, q, q0)))
-    # p1 = 1, so the undisturbed protocol never ends in box 2 and the shift is P(box 2)
-    if metric in ("postselection_probability", "postselection_shift"):
-        return pf
-    mean = _signal_average(ps, pf, 1.0 / g, -1.0 / g)
-    return mean if metric == "conditional_mean" else np.abs(mean - protocol.target)
-
-
-def _quantum_metric(protocol: QuantumProtocol, metric: str, lam: np.ndarray):
-    i = protocol.preparation
-    f = protocol.postselection
-    lam = _check_coupling(lam)
-    if metric == "postselection_probability":
-        return _box2(outcome_tables(i, f, lam))
-    if metric == "postselection_shift":
-        return _quantum_shifts(i, f, lam)
-    if metric == "quantum_disturbance":
-        return _disturbances(i, lam)
-    mean = _conditional_means(i, f, lam)
-    return mean if metric == "conditional_mean" else np.abs(mean - protocol.target)
-
-
-_CLASSICAL_METRICS = frozenset(
-    {"conditional_mean", "conditional_mean_error", "postselection_probability", "postselection_shift"}
-)
-_QUANTUM_METRICS = _CLASSICAL_METRICS | {"quantum_disturbance"}
-
-
 def metric_names(protocol) -> tuple:
     """Metric names available for the given protocol object."""
-    if isinstance(protocol, ClassicalMatchedProtocol):
-        return tuple(sorted(_CLASSICAL_METRICS))
-    if isinstance(protocol, QuantumProtocol):
-        return tuple(sorted(_QUANTUM_METRICS))
-    raise ValidationError(f"unknown protocol object {protocol!r}")
+    if not isinstance(protocol, (ClassicalMatchedProtocol, QuantumProtocol)):
+        raise ValidationError(f"unknown protocol object {protocol!r}")
+    return protocol.metrics
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,49 +218,43 @@ def _raise_first_failure(evaluate, protocol, metric: str, grid: np.ndarray, whol
     raise whole_grid_error  # reached only if some check is not point-wise
 
 
-def _metric_values(protocol, metric: str, strengths) -> tuple:
-    """``(grid, values)`` of one metric, with :func:`sweep_metric`'s errors except the grid checks."""
-    if isinstance(protocol, ClassicalMatchedProtocol):
-        evaluate = _classical_metric
-    elif isinstance(protocol, QuantumProtocol):
-        evaluate = _quantum_metric
-    else:
-        raise ValidationError(f"unknown protocol object {protocol!r}")
+def _sweep_blocks(protocol, metric: str, blocks):
+    """Yield ``(strengths, values)`` per block of one grid, raising what the blocks joined in order would.
+
+    Blocks are checked and evaluated in order, one at a time. The error of
+    the first failing point wins; the grid checks of :class:`SweepResult`,
+    across block boundaries too, run after the last block.
+    """
     if metric not in metric_names(protocol):
-        raise ValidationError(
-            f"unknown metric {metric!r}; choose from {list(metric_names(protocol))}"
-        )
-    grid = np.asarray(strengths, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("strengths must be a nonempty 1-D grid")
-    try:
-        values = evaluate(protocol, metric, grid)
-    except TwoBoxError as err:
-        _raise_first_failure(evaluate, protocol, metric, grid, err)
-    return grid, values
-
-
-def _check_blocks(protocol, metric: str, blocks) -> None:
-    """Raise what :func:`sweep_metric` on the blocks joined in order raises, holding one block at a time."""
+        raise ValidationError(f"unknown metric {metric!r}; choose from {list(protocol.metrics)}")
     rising = falling = finite = True
     last = np.empty(0)
     for block in blocks:
-        strengths, values = _metric_values(protocol, metric, block)
-        steps = np.diff(strengths, prepend=last)
+        grid = np.asarray(block, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValidationError("strengths must be a nonempty 1-D grid")
+        try:
+            values = protocol._values(metric, grid)
+        except TwoBoxError as err:
+            _raise_first_failure(type(protocol)._values, protocol, metric, grid, err)
+        steps = np.diff(grid, prepend=last)
         rising = rising and bool(np.all(steps > 0))
         falling = falling and bool(np.all(steps < 0))
-        finite = finite and bool(np.all(np.isfinite(strengths)) and np.all(np.isfinite(values)))
-        last = strengths[-1:]
+        finite = finite and bool(np.all(np.isfinite(grid)) and np.all(np.isfinite(values)))
+        last = grid[-1:]
+        yield grid, values
     _check_sweep(rising, falling, finite)
 
 
 def sweep_metric(protocol, metric: str, strengths) -> SweepResult:
     """Evaluate one metric at every strength on the grid.
 
-    The whole grid goes through the protocol's array kernel in one call;
-    the CLI streams long grids through it one block at a time. Points are
-    checked as one-at-a-time evaluation would check them, and the error
-    raised is the one the first failing point, in grid order, would raise.
+    The whole grid goes through the protocol's array kernel in one call.
+    The CLI streams long grids through the same generator one block at a
+    time, so a streamed sweep checks and fails exactly as this call does.
+    Points are checked as one-at-a-time evaluation would check them, and
+    the error raised is the one the first failing point, in grid order,
+    would raise.
 
     Parameters
     ----------
@@ -288,7 +274,7 @@ def sweep_metric(protocol, metric: str, strengths) -> SweepResult:
         If the metric is undefined at some grid point; the message names
         the offending point.
     """
-    grid, values = _metric_values(protocol, metric, strengths)
+    [(grid, values)] = _sweep_blocks(protocol, metric, [strengths])
     return SweepResult(
         parameter=protocol.parameter,
         strengths=grid,
@@ -351,14 +337,10 @@ def richardson_extrapolate(strengths, values) -> tuple:
     if np.any(np.diff(t) >= 0):
         raise ValidationError("strengths must be distinct")
     cur = v[order].astype(float)
-    previous = cur[-1]
     k = s.size
     for m in range(1, k):
-        nxt = np.empty(k - m)
-        for idx in range(k - m):
-            nxt[idx] = (t[idx] * cur[idx + 1] - t[idx + m] * cur[idx]) / (t[idx] - t[idx + m])
         previous = cur[-1]
-        cur = nxt
+        cur = (t[: k - m] * cur[1:] - t[m:] * cur[:-1]) / (t[: k - m] - t[m:])
     return float(cur[0]), float(abs(cur[0] - previous))
 
 

@@ -37,7 +37,7 @@ from . import __version__
 from .analysis import (
     ClassicalMatchedProtocol,
     QuantumProtocol,
-    _check_blocks,
+    _sweep_blocks,
     projector_weak_values,
     quantum_postselection_shift,
     sweep_metric,
@@ -93,7 +93,10 @@ def _config_value(cfg: dict, key: str, default=_MISSING):
 
 
 def _is_finite_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    try:
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _number(cfg: dict, key: str) -> float:
@@ -246,11 +249,15 @@ def _strength_grid(cfg: dict) -> tuple:
         start = _number(raw, "from")
         stop = _number(raw, "to")
         points = _integer(raw, "points", minimum=1)
+        if points > 2**53:  # where np.arange stops counting exactly
+            raise ValidationError(f"strengths 'points' must be at most 2**53, got {points!r}")
         scale = raw.get("scale", "linear")
         if scale not in ("linear", "log"):
             raise ValidationError(f"strengths scale must be 'linear' or 'log', got {scale!r}")
         if scale == "log" and (start <= 0 or stop <= 0):
             raise ValidationError("log-scale strengths require positive 'from' and 'to'")
+        if not math.isfinite(stop - start):
+            raise ValidationError(f"strengths from {start!r} to {stop!r} span more than the float range")
         return points, lambda lo, hi: _range_block(start, stop, points, lo, hi, scale == "log")
     raise ValidationError(
         "sweep mode requires 'strengths': either a list of values or "
@@ -290,10 +297,9 @@ _POINTS = "\x00points"
 def _run_sweep(cfg: dict, seed) -> _ModeOutcome:
     protocol = _protocol_from_config(cfg)
     metric = cfg.get("metric")
-    if not isinstance(metric, str):
-        raise ValidationError(f"config key 'metric' must be a string, got {metric!r}")
     points, grid = _strength_grid(cfg)
-    _check_blocks(protocol, metric, (grid(lo, hi) for lo, hi in _blocks(points)))  # before any output
+    for _ in _sweep_blocks(protocol, metric, (grid(lo, hi) for lo, hi in _blocks(points))):
+        pass  # every check runs before any output
     ends = (float(grid(0, 1)[0]), float(grid(points - 1, points)[0]))  # the grid is monotone
     result = {
         "parameter": protocol.parameter,

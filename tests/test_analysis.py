@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -33,7 +33,7 @@ from twobox import (
     weak_limit_extrapolate,
     weak_value,
 )
-from twobox.analysis import _raise_first_failure
+from twobox.analysis import _raise_first_failure, _sweep_blocks
 
 
 def scalar_metric(protocol, metric: str, x: float) -> float:
@@ -80,6 +80,48 @@ def assert_sweep_matches_loop(protocol, metric: str, grid) -> None:
         assert str(got.value) == str(err)
         return
     assert np.array_equal(sweep_metric(protocol, metric, grid).values, expected)
+
+
+def sweep_outcome(sweep) -> object:
+    """The bytes of the values a sweep returns, or the type and message of the error it raises."""
+    try:
+        return sweep().tobytes()
+    except (DomainError, ValidationError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def cut_grids(draw):
+    """A protocol, one of its metrics, a grid with random defects, and cut points splitting the grid."""
+    theta = draw(st.floats(0.0, 1.5))
+    p1 = draw(st.floats(0.0, 1.0))
+    protocol = draw(st.sampled_from([ClassicalMatchedProtocol(theta), QuantumProtocol(p1, theta)]))
+    metric = draw(st.sampled_from(metric_names(protocol)))
+    fractions = draw(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=24, unique=True))
+    # classical biases stay below cos(theta), where the recipe is defined
+    top = math.cos(theta) if protocol.parameter == "g" else 1.0
+    grid = np.sort(fractions) * top
+    if draw(st.booleans()):
+        grid = grid[::-1].copy()
+    n = grid.size
+    cuts = set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["out of range", "out of domain", "repeat", "reverse"]))
+        k = draw(st.integers(0 if kind.startswith("out") else 1, n - 1))
+        if kind == "out of range":
+            grid[k] = draw(st.sampled_from([-0.1, 1.5, math.nan]))
+            continue
+        if kind == "out of domain":
+            # no matching switch probability above cos(theta); no quantum conditional mean at zero coupling
+            grid[k] = min(2.0 * top, 1.0) if protocol.parameter == "g" else 0.0
+            continue
+        # a repeated or reversed step, placed at a cut
+        if kind == "repeat":
+            grid[k] = grid[k - 1]
+        else:
+            grid[[k - 1, k]] = grid[[k, k - 1]]
+        cuts.add(k)
+    return protocol, metric, grid, sorted(cuts)
 
 
 class TestProtocols:
@@ -192,6 +234,14 @@ class TestSweeps:
         with pytest.raises((DomainError, ValidationError)):
             point_by_point(protocol, metric, grid)
         assert_sweep_matches_loop(protocol, metric, grid)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=cut_grids())
+    def test_blocks_cut_anywhere_sweep_as_the_whole_grid(self, case):
+        protocol, metric, grid, cuts = case
+        whole = sweep_outcome(lambda: sweep_metric(protocol, metric, grid).values)
+        blocks = _sweep_blocks(protocol, metric, np.split(grid, cuts))
+        assert sweep_outcome(lambda: np.concatenate([values for _, values in blocks])) == whole
 
     def test_check_that_is_not_point_wise_raises_the_whole_grid_error(self):
         whole_grid_error = DomainError("fails only on two or more points")
@@ -308,6 +358,22 @@ class TestRichardson:
         up = richardson_extrapolate(s, v)
         down = richardson_extrapolate(s[::-1], v[::-1])
         assert up == down
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(1e-6, 1.0), st.floats(-1e3, 1e3)), min_size=2, max_size=10, unique_by=lambda p: p[0]
+        )
+    )
+    def test_tableau_matches_the_entry_by_entry_loop(self, points):
+        s, v = (np.array(column) for column in zip(*points))
+        order = np.argsort(s)[::-1]
+        t, cur = s[order] ** 2, v[order]
+        assume(np.all(np.diff(t) < 0))
+        for m in range(1, t.size):
+            previous = cur[-1]
+            cur = np.array([(t[i] * cur[i + 1] - t[i + m] * cur[i]) / (t[i] - t[i + m]) for i in range(t.size - m)])
+        assert richardson_extrapolate(s, v) == (float(cur[0]), float(abs(cur[0] - previous)))
 
     def test_duplicate_strengths_rejected(self):
         with pytest.raises(ValidationError, match="distinct"):

@@ -612,6 +612,39 @@ class TestExitCodes:
         assert main(["--config", path]) == code
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (dict(MATCHED_CFG, g=10**400), f"config key 'g' must be a finite number, got {10**400!r}"),
+            (
+                {"mode": "sweep", "protocol": "quantum", "p1": 0.75, "theta": 1.0, "strengths": [0.1, 10**400]},
+                f"strengths entries must be finite numbers, got {10**400!r}",
+            ),
+            (
+                {"mode": "sweep", "protocol": "quantum", "p1": 0.75, "theta": 1.0,
+                 "strengths": {"from": 0.1, "to": 0.2, "points": 10**400}},
+                f"strengths 'points' must be at most 2**53, got {10**400!r}",
+            ),
+            (
+                {"mode": "sweep", "protocol": "quantum", "p1": 0.75, "theta": 1.0,
+                 "strengths": {"from": 0.1, "to": 0.2, "points": 2**53 + 1}},
+                f"strengths 'points' must be at most 2**53, got {2**53 + 1!r}",
+            ),
+        ],
+    )
+    def test_integer_no_float_holds_is_exit_2(self, tmp_path, capsys, cfg, message):
+        path = write_config(tmp_path, {"metric": "conditional_mean", **cfg})
+        assert main(["--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_linear_grid_span_beyond_the_float_range_is_exit_2(self, tmp_path, capsys):
+        grid = {"from": -1e308, "to": 1e308, "points": 3}
+        cfg = {"mode": "sweep", "protocol": "quantum", "p1": 0.75, "theta": 1.0, "metric": "conditional_mean"}
+        assert main(["--config", write_config(tmp_path, dict(cfg, strengths=grid))]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: strengths from -1e+308 to 1e+308 span more than the float range\n"
+        assert "RuntimeWarning" not in err
+
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, MATCHED_CFG)
         missing = tmp_path / "absent" / "x.json"

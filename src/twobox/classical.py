@@ -178,82 +178,45 @@ def _conditional_mean_surface(p1, q, q0, g):
     """Vectorized box-2 conditional mean with contextual values (+1/g, -1/g).
 
     Broadcasts over ``p1``, ``q`` and ``q0``. Points where final box 2 has
-    probability zero come back NaN instead of raising. Uses the box-2
-    column of :func:`joint_tables` alone, so a 3-D grid costs no whole tables.
+    probability zero come back NaN instead of raising.
     """
     p1, q, q0 = (np.asarray(v, dtype=float) for v in (p1, q, q0))
     ps2, psb2 = _column(p1, g, q, q0, 2)
     pf = ps2 + psb2
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = (ps2 - psb2) / (g * pf)
+        mean = _signal_average(ps2, pf, 1.0 / g, -1.0 / g)
     return np.where(pf > 0.0, mean, np.nan)
 
 
-def _grid_min_disturbance(v_target, g, lo, hi, n, tol):
-    """Smallest max(q, q0) with |conditional mean - v_target| <= tol on a box grid.
-
-    ``lo`` and ``hi`` are 3-vectors bounding (p1, q, q0). Returns
-    (best objective, best point) or (inf, None) when no grid point is
-    feasible.
-    """
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(3)]
-    p1 = axes[0][:, None, None]
-    q = axes[1][None, :, None]
-    q0 = axes[2][None, None, :]
-    mean = _conditional_mean_surface(p1, q, q0, g)
-    feasible = np.abs(mean - v_target) <= tol
-    if not feasible.any():
-        return math.inf, None
-    objective = np.broadcast_to(np.maximum(q, q0), mean.shape)
-    masked = np.where(feasible, objective, np.inf)
-    flat = int(np.argmin(masked))
-    i, j, k = np.unravel_index(flat, masked.shape)
-    best = float(masked[i, j, k])
-    point = (float(axes[0][i]), float(axes[1][j]), float(axes[2][k]))
-    return best, point
-
-
 def min_disturbance_for_value(v_target: float, g: float, grid_resolution: int = 51) -> float:
-    """Minimum switching disturbance needed to reach a target conditional mean.
+    """Smallest disturbed fraction of postselected runs that holds a target conditional mean.
 
-    Searches a uniform ``grid_resolution``-point grid over (p1, q, q0) in
-    [0, 1]^3 for points whose box-2 conditional mean (with contextual
-    values +1/g, -1/g) lies within a grid tolerance of ``v_target``, and
-    returns the smallest max(q, q0) among them. The tolerance is
-    ``2 * h * max(1, |v_target|)`` with h the grid spacing, so that targets
-    representable between grid points are not missed. A second pass
-    re-searches one coarse cell around the best point at the same
-    resolution and proportionally tighter tolerance.
+    The cost of a parameter set (p1, q, q0) is the postselection shift
+    relative to the postselection probability, |P_g(2) - P_0(2)| / P_g(2),
+    with P_g(2) the final box 2 probability and P_0(2) = 1 - p1 its
+    undisturbed (q = q0 = 0) value. It is scale invariant: shrinking the
+    switching together with P_g(2) does not make it vanish. Its exact
+    minimum over every (p1, q, q0) whose box-2 conditional mean with
+    contextual values (+1/g, -1/g) equals ``v_target`` = v is
 
-    Returns ``math.inf`` when no grid point is feasible, which is the
-    honest answer for targets outside [-1/g, 1/g].
+        0                    for |v| <= 1, at (1/2, (1 + v)/2, (1 + v)/2);
+        g |1 + v| / (1 + g)  for 1 < |v| <= 1/g, at ((1 + v g)/2, 1, 0);
+        math.inf             for |v| > 1/g, which no parameters reach.
 
-    Note the objective measures switching activity only. The protocol
-    family contains scaled-down matches (q and q0 shrunk together toward
-    zero at p1 = 1) that hold the conditional mean fixed while the
-    postselection probability vanishes, so for anomalous targets the
-    returned minimum shrinks with the grid spacing rather than settling at
-    a finite floor. Zero disturbance is reachable only at targets the
-    undisturbed protocol produces; conditioning on box 2, max(q, q0) = 0
-    forces the conditional mean to exactly -1.
+    For v < -1 the point (0, 1 - a k / abar, 0) with a = (1 + g)/2,
+    abar = (1 - g)/2 and k = (1 + v g)/(1 - v g) attains it as well. The
+    cost jumps from 0 to 2g/(1 + g) as v leaves [-1, 1] upward, and
+    grows from 0 as v leaves it downward.
+
+    ``grid_resolution`` is checked (it must be at least 2) and selects
+    nothing: the minimum is exact, not searched on a grid.
     """
     g = float(_check_bias(g))
     v_target = _check_finite("v_target", v_target)
-    n = int(grid_resolution)
-    if n < 2:
+    if int(grid_resolution) < 2:
         raise ValidationError(f"grid_resolution must be at least 2, got {grid_resolution!r}")
-
-    h = 1.0 / (n - 1)
-    tol = 2.0 * h * max(1.0, abs(v_target))
-    best, point = _grid_min_disturbance(
-        v_target, g, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0), n=n, tol=tol
-    )
-    if point is None:
-        return best
-
-    lo = [max(0.0, x - h) for x in point]
-    hi = [min(1.0, x + h) for x in point]
-    h_fine = max(hi[i] - lo[i] for i in range(3)) / (n - 1)
-    tol_fine = 2.0 * h_fine * max(1.0, abs(v_target))
-    fine, _ = _grid_min_disturbance(v_target, g, lo=lo, hi=hi, n=n, tol=tol_fine)
-    return min(best, fine)
+    if abs(v_target) <= 1.0:
+        return 0.0
+    if abs(v_target) > 1.0 / g:
+        return math.inf
+    return g * abs(1.0 + v_target) / (1.0 + g)

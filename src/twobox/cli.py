@@ -51,9 +51,8 @@ from .montecarlo import (
     _check_seed,
     estimate_conditional_mean,
     gof_test,
-    sample_classical,
     sample_classical_trace,
-    sample_quantum,
+    sample_joint,
     sample_quantum_trace,
 )
 from .quantum import (
@@ -339,7 +338,6 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
         exact = joint_distribution(params)
         cv = ContextualValues.symmetric(params.g)
         trials = sample_classical_trace(params, n, seed) if trace else None
-        counts = CountTable.from_records(trials) if trace else sample_classical(params, n, seed)
     else:
         lam = _number(cfg, "lambda")
         if lam == 0.0:
@@ -349,7 +347,7 @@ def _run_sample(cfg: dict, seed) -> _ModeOutcome:
         exact = joint_outcome_probs(i, model, f)
         cv = ContextualValues.symmetric(lam)
         trials = sample_quantum_trace(i, model, f, n, seed) if trace else None
-        counts = CountTable.from_records(trials) if trace else sample_quantum(i, model, f, n, seed)
+    counts = CountTable.from_records(trials) if trace else sample_joint(exact, n, seed)
     mean, stderr = estimate_conditional_mean(counts, cv, 2)
     if name == "classical":
         exact_mean = conditional_mean(exact, cv, 2)
@@ -522,10 +520,10 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except OSError as err:
-        raise ValidationError(f"cannot read config file {path!r}: {err}") from err
     except json.JSONDecodeError as err:
         raise ValidationError(f"config file {path!r} is not valid JSON: {err}") from err
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8, or an int beyond Python's digit limit
+        raise ValidationError(f"cannot read config file {path!r}: {err}") from err
     if not isinstance(config, dict):
         raise ValidationError(f"config file {path!r} must contain a JSON object")
     return config

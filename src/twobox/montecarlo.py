@@ -90,8 +90,8 @@ def _check_seed(seed: int) -> int:
 
 
 def _check_trials(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError(f"number of trials must be a nonnegative integer, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < (1 << 63):  # counts are int64
+        raise ValidationError(f"number of trials must be an integer in [0, 2**63), got {n!r}")
     return int(n)
 
 

@@ -498,7 +498,7 @@ class TestNegativityWitness:
 
     def test_flagged_cases_cost_classical_disturbance(self):
         # a flagged weak value can only be matched classically by switching:
-        # the grid minimum is strictly positive, while the quantum protocol
+        # the minimum disturbed fraction is strictly positive, while the quantum protocol
         # pays only ~lam^2/2 in trace distance at the same strength
         from twobox import min_disturbance_for_value
 

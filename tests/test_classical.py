@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from twobox import (
@@ -265,18 +268,53 @@ class TestConditionalMeanSurface:
         assert math.isnan(float(_conditional_mean_surface(1.0, 0.0, 0.0, 0.5)))
 
 
+def box2_mean_and_cost(p1, g, q, q0):
+    """Box-2 conditional mean and disturbed fraction |P_g(2) - P_0(2)| / P_g(2), in the inputs' arithmetic.
+
+    None where final box 2 never occurs.
+    """
+    a, abar = (1 + g) / 2, (1 - g) / 2
+    p2 = 1 - p1
+    ps = p1 * a * q + p2 * abar * (1 - q)
+    psbar = p1 * abar * q0 + p2 * a * (1 - q0)
+    pf = ps + psbar
+    if pf == 0:
+        return None
+    return (ps - psbar) / (g * pf), abs(pf - p2) / pf
+
+
+def exact_min_disturbance(v, g):
+    """The closed-form minimum of the disturbed fraction at mean v, in Fractions; None beyond 1/g."""
+    if abs(v) <= 1:
+        return Fraction(0)
+    return g * abs(1 + v) / (1 + g) if abs(v) <= 1 / g else None
+
+
+def witness(v, g):
+    """A (p1, q, q0) attaining the minimum at mean v, one per branch of the closed form."""
+    if abs(v) <= 1:
+        return Fraction(1, 2), (1 + v) / 2, (1 + v) / 2
+    if v > 1:
+        return (1 + v * g) / 2, Fraction(1), Fraction(0)
+    a, abar, k = (1 + g) / 2, (1 - g) / 2, (1 + v * g) / (1 - v * g)
+    return Fraction(0), 1 - a * k / abar, Fraction(0)
+
+
+# the edges 0, 1 and 1/2 carry the witnesses, so they are drawn often
+unit_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]), st.fractions(0, 1, max_denominator=10**6)
+)
+
+
 class TestMinDisturbance:
     def test_minus_one_costs_nothing(self):
-        # q=q0=0 with any p1<1 lands exactly on -1, on the grid
         for g in (0.1, 0.3, 1.0):
             assert min_disturbance_for_value(-1.0, g, 51) == 0.0
 
-    def test_inside_range_costs_one_grid_step(self):
-        # targets other than -1 are only reachable with some switching;
-        # the grid minimum shrinks with the spacing instead of hitting 0
-        value = min_disturbance_for_value(0.5, 0.3, 51)
-        assert 0.0 < value <= 0.1
-        assert value == pytest.approx(0.0424, rel=1e-9)
+    def test_inside_range_costs_nothing(self):
+        # equal switching q = q0 at p1 = 1/2 reaches every mean in [-1, 1] and leaves P(box 2) at 1/2
+        for v in (-0.5, 0.0, 0.5, 1.0):
+            assert min_disturbance_for_value(v, 0.3, 51) == 0.0
 
     def test_anomalous_targets_cost_strictly_positive(self):
         v15 = min_disturbance_for_value(1.5, 0.1, 101)
@@ -284,12 +322,13 @@ class TestMinDisturbance:
         assert 0.0 < v15 <= 1.0
         assert 0.0 < v20 <= 1.0
         assert v20 >= v15
-        assert v15 == pytest.approx(0.03, rel=1e-9)
-        assert v20 == pytest.approx(0.04, rel=1e-9)
+        assert v15 == pytest.approx(5 / 22, rel=1e-15)
+        assert v20 == pytest.approx(3 / 11, rel=1e-15)
 
     def test_infeasible_target_is_inf(self):
         # |v| cannot exceed 1/g = 10/3
         assert math.isinf(min_disturbance_for_value(6.0, 0.3, 51))
+        assert math.isinf(min_disturbance_for_value(-6.0, 0.3, 51))
 
     def test_anomalous_flagged_targets_at_small_bias(self):
         for v in (1.5, -1.5, 2.0, 3.0):
@@ -300,6 +339,38 @@ class TestMinDisturbance:
         a = min_disturbance_for_value(1.7, 0.2, 41)
         b = min_disturbance_for_value(1.7, 0.2, 41)
         assert a == b
+
+    def test_grid_resolution_selects_nothing(self):
+        for v, g in ((1.5, 0.1), (-1.5, 0.1), (0.5, 0.3), (10 / 3, 0.3), (6.0, 0.3)):
+            values = {min_disturbance_for_value(v, g, n) for n in (2, 51, 151)}
+            assert values == {min_disturbance_for_value(v, g)}
+
+    @pytest.mark.parametrize("g", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(1)])
+    def test_witnesses_reach_the_mean_at_the_minimum_cost(self, g):
+        for v in (1 / g, -1 / g, Fraction(3, 2), Fraction(-3, 2), Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 3)):
+            if abs(v) > 1 / g:
+                continue
+            p1, q, q0 = witness(v, g)
+            cost = exact_min_disturbance(v, g)
+            assert all(0 <= x <= 1 for x in (p1, q, q0))
+            assert box2_mean_and_cost(p1, g, q, q0) == (v, cost)
+            assert min_disturbance_for_value(float(v), float(g)) == pytest.approx(float(cost), rel=1e-15)
+
+    def test_cost_jumps_at_plus_one_only(self):
+        g = 0.1
+        assert min_disturbance_for_value(math.nextafter(1.0, 2.0), g) == pytest.approx(2 * g / (1 + g), rel=1e-15)
+        assert min_disturbance_for_value(math.nextafter(-1.0, -2.0), g) < 1e-15
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(p1=unit_fractions, q=unit_fractions, q0=unit_fractions, g=unit_fractions)
+    def test_no_parameters_beat_the_closed_form(self, p1, q, q0, g):
+        # exact arithmetic: in floats a mean of exactly 1 can round to 1 + 2**-52, across the jump
+        assume(g > 0)
+        point = box2_mean_and_cost(p1, g, q, q0)
+        assume(point is not None)
+        v, cost = point
+        floor = exact_min_disturbance(v, g)
+        assert floor is not None and cost >= floor
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="grid_resolution"):

@@ -566,6 +566,33 @@ class TestExitCodes:
         assert main(["--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff")
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "0xff" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_config_int_beyond_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(MATCHED_CFG).replace('"g": 0.1', '"g": 1' + "0" * 5000), encoding="utf-8")
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "5001 digits" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_sample_beyond_int64_trials_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sample.json"
+        for trace in (False, True):
+            path = write_config(tmp_path, dict(TestSampleMode.CFG, n=10**400, trace=trace))
+            assert main(["--config", path, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: number of trials must be an integer in [0, 2**63)")
+            assert not out.exists()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_config_missing_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

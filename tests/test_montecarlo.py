@@ -170,6 +170,20 @@ class TestSampling:
         with pytest.raises(ValidationError, match="trials"):
             sample_classical(MATCHED, -1, 5)
 
+    def test_trial_count_must_fit_int64(self):
+        # counts are int64, so every sampler refuses 2**63 trials before drawing any
+        i, f = TwoLevelState.from_occupation(0.75), Postselection(math.pi / 3).state
+        samplers = (
+            lambda n: sample_joint(joint_distribution(MATCHED), n, 1),
+            lambda n: sample_classical_trace(MATCHED, n, 1),
+            lambda n: sample_quantum_trace(i, MeasurementModel(0.1), f, n, 1),
+            lambda n: sample_classical_sweep([MATCHED], n, 1),
+        )
+        for sample in samplers:
+            for n in (2**63, 10**400):
+                with pytest.raises(ValidationError, match=r"trials must be an integer in \[0, 2\*\*63\)"):
+                    sample(n)
+
     def test_matched_frequencies_close_to_exact(self):
         t = sample_classical(MATCHED, 200000, 12)
         freq = t.counts / t.total

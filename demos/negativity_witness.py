@@ -36,7 +36,7 @@ def main():
     print(f"  imbalance weak value w1 - w2 = {aw.real:+.6f}, negative = {pwv.negative}")
     print("left half: postselection fights the preparation and anomaly is generic;")
     print("right half (theta > pi) it cooperates and the weak values behave;")
-    print("blanks mark the orthogonal ridge where postselection never succeeds")
+    print("blanks mark the ridge where postselection never succeeds")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Counter-based Monte Carlo: same seed, same bytes, on any machine and any
+"""Keyed Monte Carlo: same seed, same bytes, on any machine and any
 worker count.
 
 Every sampling call keys a Philox generator from the seed, and sweeps derive
@@ -45,9 +45,9 @@ def main():
     print(f"goodness of fit: statistic {gof.statistic:.3f}, reject = {gof.reject}")
 
     trace = sample_classical_trace(params, 5, seed=7)
-    print("\nfirst trial records from trace mode:")
-    for k, rec in enumerate(trace):
-        print(f"  trial {k}: signal {rec.signal:<4} final box {rec.final_box}")
+    print("\nfirst trials from the trace columns:")
+    for k, (s, box) in enumerate(zip(trace.signal.tolist(), trace.final_box.tolist())):
+        print(f"  trial {k}: signal {'S' if s else 'Sbar':<4} final box {box}")
 
     cfg = {
         "mode": "sample",

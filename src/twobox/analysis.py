@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import ClassicalParams, _matched_cosine, _matched_switching, joint_distribution, joint_tables
-from .contextual import _check_finite, _check_unit_interval
-from .errors import DomainError, TwoBoxError, ValidationError
+from .contextual import _check_finite, _check_unit_interval, _numbers
+from .errors import DomainError, TwoBoxError, ValidationError, _shown
 from .quantum import (
     MeasurementModel,
     Postselection,
@@ -226,11 +226,11 @@ def _sweep_blocks(protocol, metric: str, blocks):
     across block boundaries too, run after the last block.
     """
     if metric not in metric_names(protocol):
-        raise ValidationError(f"unknown metric {metric!r}; choose from {list(protocol.metrics)}")
+        raise ValidationError(f"unknown metric {_shown(metric)}; choose from {list(protocol.metrics)}")
     rising = falling = finite = True
     last = np.empty(0)
     for block in blocks:
-        grid = np.asarray(block, dtype=float)
+        grid = _numbers(block, "strengths must be numbers, got {}")
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError("strengths must be a nonempty 1-D grid")
         try:

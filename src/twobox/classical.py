@@ -27,12 +27,13 @@ is involved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contextual import _check_bias, _check_finite, _check_unit_interval
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _shown
 # SIGNALS and BOXES are imported so that they stay importable from this module.
 from .tables import BOXES, SIGNALS, JointDistribution, _postselected, _signal_average, _stack  # noqa: F401
 
@@ -213,8 +214,8 @@ def min_disturbance_for_value(v_target: float, g: float, grid_resolution: int = 
     """
     g = float(_check_bias(g))
     v_target = _check_finite("v_target", v_target)
-    if int(grid_resolution) < 2:
-        raise ValidationError(f"grid_resolution must be at least 2, got {grid_resolution!r}")
+    if not (isinstance(grid_resolution, numbers.Real) and grid_resolution >= 2):
+        raise ValidationError(f"grid_resolution must be at least 2, got {_shown(grid_resolution)}")
     if abs(v_target) <= 1.0:
         return 0.0
     if abs(v_target) > 1.0 / g:

@@ -16,8 +16,8 @@ summary to stderr; with a path the file is written atomically (temp file,
 then rename) and the summary goes to stdout.
 
 Exit codes: 0 success, 2 malformed config or arguments, 3 well-formed
-request whose answer is undefined (zero-probability postselection,
-orthogonal postselection, divergent target value).
+request whose answer is undefined (zero-probability or zero-overlap
+postselection, divergent target value).
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from .analysis import (
 )
 from .classical import ClassicalParams, conditional_mean, fc_match_params, joint_distribution, unconditional_mean
 from .contextual import ContextualValues
-from .errors import DomainError, TwoBoxError, ValidationError
+from .errors import DomainError, TwoBoxError, ValidationError, _shown
 from .montecarlo import (
     CountTable,
     _blocks,
-    _check_seed,
+    _check_below,
     estimate_conditional_mean,
     gof_test,
     sample_classical_trace,
@@ -101,28 +101,28 @@ def _is_finite_number(value) -> bool:
 def _number(cfg: dict, key: str) -> float:
     value = _config_value(cfg, key)
     if not _is_finite_number(value):
-        raise ValidationError(f"config key {key!r} must be a finite number, got {value!r}")
+        raise ValidationError(f"config key {key!r} must be a finite number, got {_shown(value)}")
     return float(value)
 
 
 def _integer(cfg: dict, key: str, default=_MISSING, minimum: int = 0) -> int:
     value = _config_value(cfg, key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValidationError(f"config key {key!r} must be an integer >= {minimum}, got {value!r}")
+        raise ValidationError(f"config key {key!r} must be an integer >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
 def _string(cfg: dict, key: str, allowed: tuple) -> str:
     value = cfg.get(key)
     if value not in allowed:
-        raise ValidationError(f"config key {key!r} must be one of {list(allowed)}, got {value!r}")
+        raise ValidationError(f"config key {key!r} must be one of {list(allowed)}, got {_shown(value)}")
     return value
 
 
 def _flag(cfg: dict, key: str, default: bool = False) -> bool:
     value = cfg.get(key, default)
     if not isinstance(value, bool):
-        raise ValidationError(f"config key {key!r} must be true or false, got {value!r}")
+        raise ValidationError(f"config key {key!r} must be true or false, got {_shown(value)}")
     return value
 
 
@@ -242,17 +242,17 @@ def _strength_grid(cfg: dict) -> tuple:
             raise ValidationError("config key 'strengths' must not be an empty list")
         for value in raw:
             if not _is_finite_number(value):
-                raise ValidationError(f"strengths entries must be finite numbers, got {value!r}")
+                raise ValidationError(f"strengths entries must be finite numbers, got {_shown(value)}")
         return len(raw), lambda lo, hi: np.asarray(raw[lo:hi], dtype=float)
     if isinstance(raw, dict):
         start = _number(raw, "from")
         stop = _number(raw, "to")
         points = _integer(raw, "points", minimum=1)
         if points > 2**53:  # where np.arange stops counting exactly
-            raise ValidationError(f"strengths 'points' must be at most 2**53, got {points!r}")
+            raise ValidationError(f"strengths 'points' must be at most 2**53, got {_shown(points)}")
         scale = raw.get("scale", "linear")
         if scale not in ("linear", "log"):
-            raise ValidationError(f"strengths scale must be 'linear' or 'log', got {scale!r}")
+            raise ValidationError(f"strengths scale must be 'linear' or 'log', got {_shown(scale)}")
         if scale == "log" and (start <= 0 or stop <= 0):
             raise ValidationError("log-scale strengths require positive 'from' and 'to'")
         if not math.isfinite(stop - start):
@@ -455,7 +455,7 @@ def _write_atomic(path: str, chunks) -> None:
 
 def _resolve_seed(config: dict, flag_seed) -> int | None:
     seed = flag_seed if flag_seed is not None else config.get("seed")
-    return None if seed is None else _check_seed(seed)
+    return None if seed is None else _check_below("seed", seed, 64)
 
 
 def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int:
@@ -468,14 +468,14 @@ def run(config: dict, seed=None, out=None, fmt=None, quiet: bool = False) -> int
         raise ValidationError(f"config must be a JSON object, got {type(config).__name__}")
     mode = config.get("mode")
     if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}; choose from {list(MODES)}")
+        raise ValidationError(f"unknown mode {_shown(mode)}; choose from {list(MODES)}")
     resolved_seed = _resolve_seed(config, seed)
     fmt = fmt if fmt is not None else config.get("format", "json")
     if fmt not in ("json", "csv"):
-        raise ValidationError(f"format must be 'json' or 'csv', got {fmt!r}")
+        raise ValidationError(f"format must be 'json' or 'csv', got {_shown(fmt)}")
     out = out if out is not None else config.get("out")
     if out is not None and (not isinstance(out, str) or not out):
-        raise ValidationError(f"output path must be a nonempty string, got {out!r}")
+        raise ValidationError(f"output path must be a nonempty string, got {_shown(out)}")
 
     outcome = _RUNNERS[mode](config, resolved_seed)
     document = {

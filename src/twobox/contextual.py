@@ -22,20 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _shown
 
 __all__ = ["ContextualValues", "ResponseMatrix", "solve_cv"]
 
 
+def _numbers(value, message: str, dtype=float):
+    """``value`` as a ``dtype`` array (a numpy scalar for 0-d input); else ``message`` formatted with it."""
+    try:
+        return np.asarray(value, dtype=dtype)[()]
+    except (TypeError, ValueError, OverflowError):  # not numbers, or an int beyond the float range
+        raise ValidationError(message.format(_shown(value))) from None
+
+
 def _check_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = float(_numbers(value, f"{name} must be finite, got {{}}"))
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
+    value = float(_numbers(value, f"{name} must be in [0, 1], got {{}}"))
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
     return value
@@ -43,7 +51,7 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 def _check_bias(g) -> np.ndarray:
     """``g`` as floats (a numpy scalar for 0-d input), after checking every detector bias is in (0, 1]."""
-    g = np.asarray(g, dtype=float)[()]
+    g = _numbers(g, "detector bias g must be in (0, 1], got {}")
     bad = ~((g > 0.0) & (g <= 1.0))
     if bad.any():
         raise ValidationError(

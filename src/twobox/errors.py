@@ -22,3 +22,11 @@ class ValidationError(TwoBoxError, ValueError):
 
 class DomainError(TwoBoxError):
     """Well-formed input for which the requested quantity is undefined."""
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; an int too long for ``repr`` shows as its type and bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # Python's limit on int-to-str digits, hit by the int or by a container holding it
+        return f"<int of {value.bit_length()} bits>" if isinstance(value, int) else f"<{type(value).__name__}>"

@@ -28,19 +28,17 @@ counts and traces do not depend on the block size.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import ClassicalParams, joint_distribution
 from .contextual import ContextualValues
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _shown
 from .quantum import MeasurementModel, TwoLevelState, joint_outcome_probs
 from .tables import BOXES, SIGNALS, JointDistribution, _cell, _flat_cells, _signal_average
 
 __all__ = [
-    "TrialRecord",
     "TrialTrace",
     "CountTable",
     "GofResult",
@@ -72,9 +70,11 @@ def derive_stream_key(seed: int, index: int) -> int:
     then apply the finalizer mix. Distinct (seed, index) pairs map to
     well-separated keys, giving each grid point its own Philox stream.
     """
-    seed = _check_seed(seed)
+    seed = _check_below("seed", seed, 64)
     if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-        raise ValidationError(f"index must be a nonnegative integer, got {index!r}")
+        raise ValidationError(f"index must be a nonnegative integer, got {_shown(index)}")
+    if index >= 1 << 64:  # the mix reads the index modulo 2**64
+        raise ValidationError(f"index must be below 2**64, got {_shown(index)}")
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
@@ -83,16 +83,11 @@ def derive_stream_key(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < (1 << 64):
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
-
-
-def _check_trials(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < (1 << 63):  # counts are int64
-        raise ValidationError(f"number of trials must be an integer in [0, 2**63), got {n!r}")
-    return int(n)
+def _check_below(name: str, value, bits: int) -> int:
+    """``value`` as an int, after checking it is in [0, 2**bits): 64 bits for seeds, 63 for int64 trial counts."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < (1 << bits):
+        raise ValidationError(f"{name} must be an integer in [0, 2**{bits}), got {_shown(value)}")
+    return int(value)
 
 
 def _generator(key: int) -> np.random.Generator:
@@ -110,23 +105,11 @@ def _draw_blocks(gen: np.random.Generator, n: int, k: int | None = None):
         yield lo, hi, gen.random(hi - lo if k is None else (hi - lo, k))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One simulated trial: the detector outcome and the final box."""
-
-    signal: str
-    final_box: int
-
-    def __post_init__(self):
-        _cell(self.signal, self.final_box)
-
-
 class TrialTrace:
     """Trials in simulation order, as two read-only columns.
 
     ``signal`` is ``bool`` (True for the detector outcome S) and
-    ``final_box`` is ``uint8`` (1 or 2). Iterating yields one
-    :class:`TrialRecord` per trial.
+    ``final_box`` is ``uint8`` (1 or 2).
     """
 
     __slots__ = ("signal", "final_box")
@@ -150,10 +133,6 @@ class TrialTrace:
 
     def __len__(self) -> int:
         return self.signal.size
-
-    def __iter__(self):
-        for s, box in zip(self.signal.tolist(), self.final_box.tolist()):
-            yield TrialRecord(signal="S" if s else "Sbar", final_box=box)
 
     def _cells(self, lo: int, hi: int) -> np.ndarray:
         """Flat table cell, in ``ravel()`` order, of trials ``lo..hi``."""
@@ -202,21 +181,12 @@ class CountTable:
         return sum(self.n(signal, box) for signal in SIGNALS)
 
     @classmethod
-    def from_records(cls, records) -> "CountTable":
-        """Count a :class:`TrialTrace` (one ``np.bincount`` per block) or any iterable of records."""
-        c = np.zeros((2, 2), dtype=np.int64)
-        if isinstance(records, TrialTrace):
-            for lo, hi in _blocks(len(records)):
-                c += np.bincount(records._cells(lo, hi), minlength=4).reshape(2, 2)
-            return cls(c)
-        for (signal, box), k in Counter((r.signal, r.final_box) for r in records).items():
-            c[_cell(signal, box)] = k
-        return cls(c)
-
-    def frequencies(self) -> JointDistribution:
-        if self.total == 0:
-            raise ValidationError("cannot normalize an empty count table")
-        return JointDistribution(self._counts / self.total)
+    def from_records(cls, trace: TrialTrace) -> "CountTable":
+        """Count the trials of a :class:`TrialTrace`, one ``np.bincount`` per block."""
+        if not isinstance(trace, TrialTrace):
+            raise ValidationError(f"can only count a TrialTrace, got {type(trace).__name__}")
+        cells = (np.bincount(trace._cells(lo, hi), minlength=4) for lo, hi in _blocks(len(trace)))
+        return cls(sum(cells, np.zeros(4, dtype=np.int64)).reshape(2, 2))
 
     def __eq__(self, other):
         if not isinstance(other, CountTable):
@@ -233,8 +203,8 @@ def sample_joint(dist: JointDistribution, n: int, seed: int) -> CountTable:
     All n trials consume exactly one uniform each, drawn in blocks from a
     Philox stream keyed by ``seed``.
     """
-    n = _check_trials(n)
-    gen = _generator(_check_seed(seed))
+    n = _check_below("number of trials", n, 63)
+    gen = _generator(_check_below("seed", seed, 64))
     cum = np.cumsum(dist.table.ravel())
     c = np.zeros(4, dtype=np.int64)
     for _, _, u in _draw_blocks(gen, n):
@@ -258,8 +228,8 @@ def sample_quantum(
 
 def _simulate(n: int, seed: int, k: int, stages) -> TrialTrace:
     """Trace of n trials: ``stages`` maps each block of k uniforms per trial to (signal, final box)."""
-    n = _check_trials(n)
-    gen = _generator(_check_seed(seed))
+    n = _check_below("number of trials", n, 63)
+    gen = _generator(_check_below("seed", seed, 64))
     signal = np.empty(n, dtype=bool)
     final_box = np.empty(n, dtype=np.uint8)
     for lo, hi, u in _draw_blocks(gen, n, k):
@@ -308,8 +278,8 @@ def sample_classical_sweep(params_list, n: int, seed: int) -> list:
     Point ``k`` draws from the Philox stream keyed by
     ``derive_stream_key(seed, k)``.
     """
-    n = _check_trials(n)
-    seed = _check_seed(seed)
+    n = _check_below("number of trials", n, 63)
+    seed = _check_below("seed", seed, 64)
     return [sample_classical(p, n, derive_stream_key(seed, k)) for k, p in enumerate(params_list)]
 
 

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contextual import ContextualValues, _check_unit_interval
+from .contextual import _check_unit_interval, _numbers
 from .errors import DomainError, ValidationError
-from .tables import JointDistribution, _box2, _check_tables, _postselected, _signal_average, _stack
+from .tables import JointDistribution, _box2, _check_tables, _postselected, _stack
 
 __all__ = [
     "TwoLevelState",
@@ -66,8 +66,8 @@ class TwoLevelState:
     a2: complex
 
     def __post_init__(self):
-        a1 = complex(self.a1)
-        a2 = complex(self.a2)
+        message = "state amplitudes must be numbers, got {}"
+        a1, a2 = (complex(_numbers(a, message, complex)) for a in (self.a1, self.a2))
         norm = abs(a1) ** 2 + abs(a2) ** 2
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"state must be normalized, got |a1|^2 + |a2|^2 = {norm!r}")
@@ -92,7 +92,7 @@ class Postselection:
     theta: float
 
     def __post_init__(self):
-        theta = float(self.theta)
+        theta = float(_numbers(self.theta, "theta must be in [0, 2*pi], got {}"))
         if not 0.0 <= theta <= 2.0 * math.pi:
             raise ValidationError(f"theta must be in [0, 2*pi], got {theta!r}")
         object.__setattr__(self, "theta", theta)
@@ -102,15 +102,10 @@ class Postselection:
         half = self.theta / 2.0
         return TwoLevelState(a1=math.cos(half), a2=-math.sin(half))
 
-    @property
-    def orthogonal(self) -> TwoLevelState:
-        half = self.theta / 2.0
-        return TwoLevelState(a1=math.sin(half), a2=math.cos(half))
-
 
 def _check_coupling(lam) -> np.ndarray:
     """``lam`` as floats (a numpy scalar for 0-d input), after checking every coupling is in [0, 1]."""
-    lam = np.asarray(lam, dtype=float)[()]
+    lam = _numbers(lam, "coupling lam must be in [0, 1], got {}")
     bad = ~((lam >= 0.0) & (lam <= 1.0))
     if bad.any():
         raise ValidationError(f"coupling lam must be in [0, 1], got {float(lam.flat[bad.argmax()])!r}")
@@ -162,7 +157,7 @@ def weak_value(i: TwoLevelState, f: TwoLevelState) -> complex:
     Raises
     ------
     DomainError
-        If the postselection is orthogonal to the preparation (overlap
+        If the postselection does not overlap the preparation (overlap
         magnitude below 1e-14), where the weak value is undefined.
     """
     ovl = _overlap(i, f)
@@ -178,7 +173,7 @@ def outcome_tables(i: TwoLevelState, f: TwoLevelState, lam) -> np.ndarray:
     """Exact joint tables |<f|M i>|^2 over a coupling array, shape ``lam.shape + (2, 2)``.
 
     Rows are the Kraus operators of S and Sbar; column box 2 is a successful
-    postselection onto ``f``, column box 1 the orthogonal outcome. The
+    postselection onto ``f``, column box 1 a failed one. The
     coupling is not range-checked; see :class:`MeasurementModel`.
     """
     lam = np.asarray(lam, dtype=float)[()]  # numpy scalar for 0-d input: cheaper arithmetic
@@ -206,34 +201,27 @@ def postselection_probability(i: TwoLevelState, m: MeasurementModel, f: TwoLevel
     return float(_box2(outcome_tables(i, f, m.lam)))
 
 
-def _conditional_means(i: TwoLevelState, f: TwoLevelState, lam, cv=None):
+def _conditional_means(i: TwoLevelState, f: TwoLevelState, lam):
     """Conditional means over a coupling array, after the checks of :func:`conditional_mean_quantum`.
 
-    With the symmetric weights the factor lam divides out exactly, since
-    P(S, f) - P(Sbar, f) = lam (|x|^2 - |y|^2) with x = conj(f1) a1 and
-    y = conj(f2) a2; so the weak limit keeps full precision.
+    The factor lam divides out exactly, since P(S, f) - P(Sbar, f) =
+    lam (|x|^2 - |y|^2) with x = conj(f1) a1 and y = conj(f2) a2; so the
+    weak limit keeps full precision.
     """
     lam = np.asarray(lam, dtype=float)
     if (lam == 0.0).any():
         raise DomainError("conditional mean undefined at zero coupling (lam = 0)")
-    ps, pf = _postselected(_check_tables(outcome_tables(i, f, lam)))
-    if cv is None:
-        x, y = f.a1.conjugate() * i.a1, f.a2.conjugate() * i.a2
-        return (_abs2(x) - _abs2(y)) / pf
-    return _signal_average(ps, pf, cv.alpha_s, cv.alpha_sbar)
+    _, pf = _postselected(_check_tables(outcome_tables(i, f, lam)))
+    x, y = f.a1.conjugate() * i.a1, f.a2.conjugate() * i.a2
+    return (_abs2(x) - _abs2(y)) / pf
 
 
-def conditional_mean_quantum(
-    i: TwoLevelState,
-    m: MeasurementModel,
-    f: TwoLevelState,
-    cv: ContextualValues | None = None,
-) -> float:
-    """Contextual-value average of the detector outcome, postselected on ``f``.
+def conditional_mean_quantum(i: TwoLevelState, m: MeasurementModel, f: TwoLevelState) -> float:
+    """Average of the contextual values (+1/lam, -1/lam) of the detector outcome, postselected on ``f``.
 
-    With the default symmetric weights (+1/lam, -1/lam) this converges to
-    the real part of the weak value as lam -> 0, with an error of order
-    lam^2.
+    It converges to the real part of the weak value as lam -> 0, with an
+    error of order lam^2. For other weights ``cv``, weight the table:
+    ``conditional_mean(joint_outcome_probs(i, m, f), cv, 2)``.
 
     Raises
     ------
@@ -242,7 +230,7 @@ def conditional_mean_quantum(
         and the conditional mean is undefined; or when the postselection
         never occurs.
     """
-    return float(_conditional_means(i, f, m.lam, cv))
+    return float(_conditional_means(i, f, m.lam))
 
 
 def density_matrix(state: TwoLevelState) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _shown
 
 __all__ = ["SIGNALS", "BOXES", "JointDistribution"]
 
@@ -28,9 +28,9 @@ BOXES = (1, 2)
 def _cell(signal: str, box: int) -> tuple:
     """(row, column) of a detector outcome and a final box in a 2x2 joint or count table."""
     if signal not in SIGNALS:
-        raise ValidationError(f"signal must be one of {SIGNALS}, got {signal!r}")
+        raise ValidationError(f"signal must be one of {SIGNALS}, got {_shown(signal)}")
     if isinstance(box, (bool, np.bool_)) or box not in BOXES:
-        raise ValidationError(f"final_box must be 1 or 2, got {box!r}")
+        raise ValidationError(f"final_box must be 1 or 2, got {_shown(box)}")
     return SIGNALS.index(signal), BOXES.index(box)
 
 

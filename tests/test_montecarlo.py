@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from twobox import (
     ClassicalParams,
@@ -12,7 +11,6 @@ from twobox import (
     JointDistribution,
     MeasurementModel,
     Postselection,
-    TrialRecord,
     TrialTrace,
     TwoLevelState,
     ValidationError,
@@ -29,7 +27,7 @@ from twobox import (
     sample_quantum,
     sample_quantum_trace,
 )
-from twobox import montecarlo
+from twobox import montecarlo, tables
 
 MATCHED = ClassicalParams(p1=1.0, g=0.1, q=6 / 11, q0=4 / 9)
 BLOCK = montecarlo._BLOCK
@@ -64,14 +62,24 @@ class TestStreamKeys:
         with pytest.raises(ValidationError, match="seed"):
             derive_stream_key(True, 0)
 
+    def test_index_below_2_64(self):
+        # the mix reads the index modulo 2**64, so index 2**64 would repeat the key of index 0
+        derive_stream_key(1, 2**64 - 1)
+        with pytest.raises(ValidationError, match=r"index must be below 2\*\*64"):
+            derive_stream_key(1, 2**64)
+        with pytest.raises(ValidationError, match=r"index must be below 2\*\*64, got <int of 16610 bits>$"):
+            derive_stream_key(1, 10**5000)
+
 
 class TestTrialRecord:
+    """One trial's (signal, final_box) tags must name a cell of the 2x2 table."""
+
     def test_valid_tags_only(self):
-        TrialRecord(signal="S", final_box=1)
+        assert tables._cell("S", 1) == (0, 0)
         with pytest.raises(ValidationError, match="signal"):
-            TrialRecord(signal="X", final_box=1)
+            tables._cell("X", 1)
         with pytest.raises(ValidationError, match="final_box"):
-            TrialRecord(signal="Sbar", final_box=0)
+            tables._cell("Sbar", 0)
 
     @pytest.mark.parametrize(
         "signal, box, named",
@@ -86,7 +94,7 @@ class TestTrialRecord:
     )
     def test_rejects_what_a_count_table_rejects(self, signal, box, named):
         with pytest.raises(ValidationError, match=named):
-            TrialRecord(signal, box)
+            tables._cell(signal, box)
 
 
 class TestCountTable:
@@ -102,20 +110,13 @@ class TestCountTable:
             CountTable([[1, -2], [3, 4]])
 
     def test_from_records(self):
-        records = [
-            TrialRecord("S", 1),
-            TrialRecord("S", 2),
-            TrialRecord("S", 2),
-            TrialRecord("Sbar", 1),
-        ]
-        t = CountTable.from_records(records)
-        assert t.counts.tolist() == [[1, 2], [1, 0]]
+        trace = TrialTrace([True, True, True, False], np.array([1, 2, 2, 1], dtype=np.uint8))
+        assert CountTable.from_records(trace).counts.tolist() == [[1, 2], [1, 0]]
 
-    def test_frequencies_round_trip(self):
-        t = CountTable([[10, 20], [30, 40]])
-        assert_allclose(t.frequencies().table, [[0.1, 0.2], [0.3, 0.4]], rtol=1e-15)
-        with pytest.raises(ValidationError, match="empty"):
-            CountTable([[0, 0], [0, 0]]).frequencies()
+    @pytest.mark.parametrize("records", [[], [("S", 1)], np.array([0, 1, 2, 3])])
+    def test_from_records_counts_only_traces(self, records):
+        with pytest.raises(ValidationError, match="can only count a TrialTrace"):
+            CountTable.from_records(records)
 
 
 _TABLES = {
@@ -125,9 +126,9 @@ _TABLES = {
 
 
 @pytest.mark.parametrize("kind", sorted(_TABLES))
-@pytest.mark.parametrize("signal, box", [("S", 0), ("S", 3), ("S", True), ("X", 1)])
+@pytest.mark.parametrize("signal, box", [("S", 0), ("S", 3), ("S", True), ("X", 1), ("S", np.True_), ("S", [1])])
 def test_unknown_signal_or_box_is_rejected(kind, signal, box):
-    # box 0 must not alias box 2 through index -1, and True must not pass for box 1
+    # box 0 must not alias box 2 through index -1, and neither True nor [1] may pass for box 1
     table, cell, by_signal, by_box = _TABLES[kind]
     with pytest.raises(ValidationError, match="signal" if signal == "X" else "final_box"):
         getattr(table, cell)(signal, box)
@@ -169,6 +170,14 @@ class TestSampling:
             sample_classical(MATCHED, 10, -5)
         with pytest.raises(ValidationError, match="trials"):
             sample_classical(MATCHED, -1, 5)
+
+    def test_integers_too_long_to_print_are_named_by_bit_length(self):
+        # repr of an int over Python's 4,300-digit limit raises, so the message shows its size instead
+        dist = joint_distribution(MATCHED)
+        with pytest.raises(ValidationError, match=r"trials must be .*, got <int of 16610 bits>$"):
+            sample_joint(dist, 10**5000, 1)
+        with pytest.raises(ValidationError, match=r"seed must be .*, got <int of 16610 bits>$"):
+            sample_joint(dist, 10, 10**5000)
 
     def test_trial_count_must_fit_int64(self):
         # counts are int64, so every sampler refuses 2**63 trials before drawing any
@@ -228,21 +237,11 @@ class TestTraceMode:
         assert not gof_test(counts, joint_outcome_probs(i, m, f)).reject
 
     def test_certain_placement_no_switch(self):
-        recs = sample_classical_trace(ClassicalParams(1.0, 0.5, 0.0, 0.0), 200, 2)
-        assert all(r.final_box == 1 for r in recs)
+        trace = sample_classical_trace(ClassicalParams(1.0, 0.5, 0.0, 0.0), 200, 2)
+        assert np.all(trace.final_box == 1)
 
 
 class TestTrialTrace:
-    def test_iterates_as_records(self):
-        trace = TrialTrace([True, False, True], np.array([2, 1, 1], dtype=np.uint8))
-        assert len(trace) == 3
-        assert list(trace) == [TrialRecord("S", 2), TrialRecord("Sbar", 1), TrialRecord("S", 1)]
-
-    def test_counts_by_columns_match_counts_by_records(self):
-        trace = sample_classical_trace(ClassicalParams(0.6, 0.3, 0.5, 0.2), 3000, 4)
-        assert CountTable.from_records(trace) == CountTable.from_records(list(trace))
-        assert CountTable.from_records(trace).total == 3000
-
     def test_columns(self):
         trace = sample_quantum_trace(
             TwoLevelState.from_occupation(0.75), MeasurementModel(0.2), Postselection(1.0).state, 100, 3
@@ -312,6 +311,12 @@ class TestBlockDraws:
         idx = np.searchsorted(np.cumsum(dist.table.ravel()), philox(5).random(n), side="right")
         expected = np.bincount(np.minimum(idx, 3), minlength=4).reshape(2, 2)
         assert sample_joint(dist, n, 5).counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", BOUNDARY_NS)
+    def test_trace_counts_equal_one_shot(self, n):
+        trace = sample_classical_trace(ClassicalParams(0.6, 0.3, 0.5, 0.2), n, 4)
+        expected = np.bincount(tables._flat_cells(trace.signal, trace.final_box), minlength=4)
+        assert CountTable.from_records(trace).counts.tolist() == expected.reshape(2, 2).tolist()
 
     @pytest.mark.parametrize("n", BOUNDARY_NS)
     def test_classical_trace_equals_one_shot(self, n):

@@ -8,17 +8,24 @@ import twobox
 from twobox import (
     BOXES,
     SIGNALS,
+    ClassicalMatchedProtocol,
     ClassicalParams,
     ContextualValues,
     DomainError,
     MeasurementModel,
+    Postselection,
+    QuantumProtocol,
     TwoLevelState,
+    ValidationError,
     conditional_mean,
     conditional_mean_quantum,
     joint_distribution,
+    joint_outcome_probs,
+    min_disturbance_for_value,
+    sweep_metric,
 )
 from twobox import analysis, classical, contextual, errors, montecarlo, quantum, tables
-from twobox.cli import _TRACE_ROW_ENDS, main
+from twobox.cli import _TRACE_ROW_ENDS, main, run
 from twobox.tables import _cell, _flat_cells, _stack
 
 
@@ -55,6 +62,41 @@ def test_stack_broadcasts():
     assert np.all(t.sum(axis=(-2, -1)) == 1.0)
 
 
+_BIG = 10**400  # beyond the float range
+_HUGE = 10**4999  # beyond Python's 4,300-digit limit on int-to-str conversion
+_SAMPLE = {"mode": "sample", "protocol": "classical", "p1": 1.0, "g": 0.1, "q": 0.5, "q0": 0.4, "n": 10, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: ClassicalParams(_BIG, 0.1, 0.5, 0.5), repr(_BIG)),
+        (lambda: ClassicalMatchedProtocol(_BIG), repr(_BIG)),
+        (lambda: MeasurementModel(_BIG), repr(_BIG)),
+        (lambda: ContextualValues.symmetric(_BIG), repr(_BIG)),
+        (lambda: Postselection(_BIG), repr(_BIG)),
+        (lambda: TwoLevelState(_BIG, 0), repr(_BIG)),
+        (lambda: min_disturbance_for_value(_BIG, 0.1), repr(_BIG)),
+        (lambda: sweep_metric(QuantumProtocol(0.75, 1.0), "conditional_mean", [_BIG]), repr([_BIG])),
+        (lambda: run(dict(_SAMPLE, mode="classical", p1=_HUGE)), "<int of 16607 bits>"),
+        (lambda: run(dict(_SAMPLE, n=_HUGE)), "<int of 16607 bits>"),
+        (lambda: run(dict(_SAMPLE, seed=_HUGE)), "<int of 16607 bits>"),
+        (lambda: min_disturbance_for_value(1.5, 0.1, None), "None"),
+        (lambda: min_disturbance_for_value(1.5, 0.1, "abc"), "'abc'"),
+    ],
+    ids=[
+        "ClassicalParams", "ClassicalMatchedProtocol", "MeasurementModel", "ContextualValues.symmetric",
+        "Postselection", "TwoLevelState", "min_disturbance_v", "sweep_metric",
+        "run_p1", "run_n", "run_seed", "grid_resolution_None", "grid_resolution_str",
+    ],
+)
+def test_values_without_a_float_or_a_repr_are_validation_errors(call, shown):
+    # each call once raised a bare OverflowError, ValueError or TypeError; an int too long for repr shows its size
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert f"got {shown}" in str(err.value)
+
+
 class TestPostselectionNeverOccurs:
     """Every entry point that conditions on a final box raises one message when it never occurs."""
 
@@ -68,9 +110,12 @@ class TestPostselectionNeverOccurs:
 
     @pytest.mark.parametrize("cv", [None, ContextualValues(2.0, -1.0)])
     def test_quantum(self, cv):
-        i, f = TwoLevelState(a1=0.0, a2=1.0), TwoLevelState(a1=1.0, a2=0.0)
+        i, m, f = TwoLevelState(a1=0.0, a2=1.0), MeasurementModel(0.5), TwoLevelState(a1=1.0, a2=0.0)
         with pytest.raises(DomainError) as err:
-            conditional_mean_quantum(i, MeasurementModel(0.5), f, cv)
+            if cv is None:
+                conditional_mean_quantum(i, m, f)
+            else:  # custom weights go through the joint table
+                conditional_mean(joint_outcome_probs(i, m, f), cv, 2)
         assert str(err.value) == "postselection never occurs: P(final box 2) = 0"
 
     @pytest.mark.parametrize("box, p1", [(1, 0.0), (2, 1.0)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import ClassicalParams, _matched_cosine, _matched_switching, joint_distribution, joint_tables
+from .classical import _matched_cosine, _matched_switching, joint_tables
 from .contextual import _check_finite, _check_unit_interval, _numbers
 from .errors import DomainError, TwoBoxError, ValidationError, _shown
 from .quantum import (
@@ -44,10 +44,8 @@ __all__ = [
     "SweepResult",
     "PowerLawFit",
     "ProjectorWeakValues",
-    "classical_postselection_shift",
     "quantum_postselection_shift",
     "sweep_metric",
-    "metric_names",
     "fit_power_law",
     "richardson_extrapolate",
     "weak_limit_extrapolate",
@@ -130,16 +128,6 @@ class QuantumProtocol:
         return mean if metric == "conditional_mean" else np.abs(mean - self.target)
 
 
-def classical_postselection_shift(params: ClassicalParams) -> float:
-    """How far the detector's disturbance moves the final box 2 probability.
-
-    Compares P(final box 2) under ``params`` against the undisturbed
-    protocol (q = q0 = 0), where the final box is the initial one.
-    """
-    disturbed = joint_distribution(params).p_box(2)
-    return abs(disturbed - (1.0 - params.p1))
-
-
 def quantum_postselection_shift(i: TwoLevelState, f: TwoLevelState, lam: float) -> float:
     """How far the coupling moves the postselection probability from its lam = 0 value."""
     return float(_quantum_shifts(i, f, MeasurementModel(lam).lam))
@@ -148,13 +136,6 @@ def quantum_postselection_shift(i: TwoLevelState, f: TwoLevelState, lam: float) 
 def _quantum_shifts(i: TwoLevelState, f: TwoLevelState, lam):
     undisturbed = abs(f.a1.conjugate() * i.a1 + f.a2.conjugate() * i.a2) ** 2
     return np.abs(_box2(outcome_tables(i, f, lam)) - undisturbed)
-
-
-def metric_names(protocol) -> tuple:
-    """Metric names available for the given protocol object."""
-    if not isinstance(protocol, (ClassicalMatchedProtocol, QuantumProtocol)):
-        raise ValidationError(f"unknown protocol object {protocol!r}")
-    return protocol.metrics
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +150,8 @@ class SweepResult:
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        s = np.asarray(self.strengths, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        s = _numbers(self.strengths, "strengths must be numbers, got {}")
+        v = _numbers(self.values, "values must be numbers, got {}")
         if s.ndim != 1 or s.size == 0:
             raise ValidationError("strengths must be a nonempty 1-D grid")
         if v.shape != s.shape:
@@ -225,7 +206,7 @@ def _sweep_blocks(protocol, metric: str, blocks):
     the first failing point wins; the grid checks of :class:`SweepResult`,
     across block boundaries too, run after the last block.
     """
-    if metric not in metric_names(protocol):
+    if metric not in protocol.metrics:
         raise ValidationError(f"unknown metric {_shown(metric)}; choose from {list(protocol.metrics)}")
     rising = falling = finite = True
     last = np.empty(0)
@@ -261,7 +242,7 @@ def sweep_metric(protocol, metric: str, strengths) -> SweepResult:
     protocol : ClassicalMatchedProtocol or QuantumProtocol
         The protocol family; its strength axis is ``g`` or ``lam``.
     metric : str
-        One of :func:`metric_names` for the protocol.
+        One of ``protocol.metrics``.
     strengths : array_like
         Strictly monotone grid of strengths.
 
@@ -326,8 +307,8 @@ def richardson_extrapolate(strengths, values) -> tuple:
     ``(limit, error_estimate)`` where the estimate is the change from the
     previous extrapolation order.
     """
-    s = np.asarray(strengths, dtype=float)
-    v = np.asarray(values, dtype=float)
+    s = _numbers(strengths, "strengths must be numbers, got {}")
+    v = _numbers(values, "values must be numbers, got {}")
     if s.ndim != 1 or s.shape != v.shape or s.size < 2:
         raise ValidationError("extrapolation needs two equal-length 1-D arrays, at least 2 points")
     if np.any(s <= 0) or not np.all(np.isfinite(s)) or not np.all(np.isfinite(v)):

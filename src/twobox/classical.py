@@ -34,8 +34,7 @@ import numpy as np
 
 from .contextual import _check_bias, _check_finite, _check_unit_interval
 from .errors import DomainError, ValidationError, _shown
-# SIGNALS and BOXES are imported so that they stay importable from this module.
-from .tables import BOXES, SIGNALS, JointDistribution, _postselected, _signal_average, _stack  # noqa: F401
+from .tables import JointDistribution, _postselected, _signal_average, _stack
 
 __all__ = [
     "ClassicalParams",
@@ -72,7 +71,7 @@ class ClassicalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p1", _check_unit_interval("p1", self.p1))
-        object.__setattr__(self, "g", float(_check_bias(self.g)))
+        object.__setattr__(self, "g", _check_bias(self.g, scalar=True))
         object.__setattr__(self, "q", _check_unit_interval("q", self.q))
         object.__setattr__(self, "q0", _check_unit_interval("q0", self.q0))
 
@@ -153,8 +152,8 @@ def fc_match_params(theta: float, g: float) -> ClassicalParams:
 
 
 def _matched_cosine(theta: float) -> float:
-    """cos(theta), after checking that the matched target 1/cos(theta) is finite and positive."""
-    c = math.cos(float(theta))
+    """cos(theta), after checking that theta is finite and the matched target 1/cos(theta) finite and positive."""
+    c = math.cos(_check_finite("theta", theta))
     if c <= 0.0:
         raise DomainError(f"target value undefined or divergent: cos(theta) = {c!r} must be positive")
     return c
@@ -212,7 +211,7 @@ def min_disturbance_for_value(v_target: float, g: float, grid_resolution: int = 
     ``grid_resolution`` is checked (it must be at least 2) and selects
     nothing: the minimum is exact, not searched on a grid.
     """
-    g = float(_check_bias(g))
+    g = _check_bias(g, scalar=True)
     v_target = _check_finite("v_target", v_target)
     if not (isinstance(grid_resolution, numbers.Real) and grid_resolution >= 2):
         raise ValidationError(f"grid_resolution must be at least 2, got {_shown(grid_resolution)}")

@@ -39,7 +39,6 @@ from .analysis import (
     QuantumProtocol,
     _sweep_blocks,
     projector_weak_values,
-    quantum_postselection_shift,
     sweep_metric,
 )
 from .classical import ClassicalParams, conditional_mean, fc_match_params, joint_distribution, unconditional_mean
@@ -61,8 +60,6 @@ from .quantum import (
     conditional_mean_quantum,
     expectation,
     joint_outcome_probs,
-    postselection_probability,
-    quantum_disturbance,
     weak_value,
 )
 from .tables import BOXES, SIGNALS
@@ -166,7 +163,8 @@ def _quantum_states(cfg: dict) -> tuple:
 
 
 def _run_quantum(cfg: dict, seed) -> _ModeOutcome:
-    i, f = _quantum_states(cfg)
+    protocol = _quantum_protocol(cfg)
+    i, f = protocol.preparation, protocol.postselection
     aw = weak_value(i, f)
     result = {
         "weak_value": aw.real,
@@ -177,18 +175,9 @@ def _run_quantum(cfg: dict, seed) -> _ModeOutcome:
     summary = f"quantum: weak value {aw.real:.6g}, expectation {result['expectation']:.6g}"
     if "lambda" in cfg:
         lam = _number(cfg, "lambda")
-        model = MeasurementModel(lam)
-        mean = conditional_mean_quantum(i, model, f)
-        result.update(
-            {
-                "lambda": lam,
-                "conditional_mean": mean,
-                "postselection_probability": postselection_probability(i, model, f),
-                "postselection_shift": quantum_postselection_shift(i, f, lam),
-                "disturbance": quantum_disturbance(i, model),
-            }
-        )
-        summary += f"; conditional mean {mean:.6g} at lambda = {lam:.6g}"
+        result["lambda"] = lam
+        result.update({metric: float(protocol._values(metric, lam)) for metric in protocol.metrics})
+        summary += f"; conditional mean {result['conditional_mean']:.6g} at lambda = {lam:.6g}"
     return _ModeOutcome(result=result, summary=summary)
 
 
@@ -392,9 +381,9 @@ _RUNNERS = {
 
 
 def _walk_finite(node, path: str) -> None:
-    if isinstance(node, bool) or node is None or isinstance(node, str):
+    if node is None or isinstance(node, (bool, int, str)):  # an int is finite, however large
         return
-    if isinstance(node, (int, float)):
+    if isinstance(node, float):
         if not math.isfinite(node):
             raise ValidationError(f"result contains a non-finite number at {path}")
         return

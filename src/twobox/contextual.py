@@ -17,7 +17,7 @@ grow anomalously large.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,39 +26,51 @@ from .errors import DomainError, ValidationError, _shown
 
 __all__ = ["ContextualValues", "ResponseMatrix", "solve_cv"]
 
+_FLOAT_MAX = sys.float_info.max  # [-_FLOAT_MAX, _FLOAT_MAX] holds exactly the finite floats
 
-def _numbers(value, message: str, dtype=float):
-    """``value`` as a ``dtype`` array (a numpy scalar for 0-d input); else ``message`` formatted with it."""
+
+def _numbers(value, message: str, dtype=float, scalar: bool = False):
+    """``value`` as a ``dtype`` array (a numpy scalar for 0-d input); else ``message`` formatted with it.
+
+    With ``scalar``, anything but a single number is rejected too.
+    """
     try:
-        return np.asarray(value, dtype=dtype)[()]
+        x = np.asarray(value, dtype=dtype)[()]
     except (TypeError, ValueError, OverflowError):  # not numbers, or an int beyond the float range
-        raise ValidationError(message.format(_shown(value))) from None
+        x = None
+    if x is None or scalar and x.ndim:
+        raise ValidationError(message.format(_shown(value)))
+    return x
+
+
+def _check_interval(value, message: str, low: float, high: float, low_open=False, scalar=True, note=""):
+    """``value`` after checking every entry is in [low, high], or (low, high] if ``low_open``.
+
+    Returns a float, or with ``scalar=False`` a float array (a numpy scalar
+    for 0-d input). Else raises ``message`` formatted with the first entry
+    out of the interval, then ``note``; or formatted with ``value`` if that
+    is not numbers.
+    """
+    x = _numbers(value, message, scalar=scalar)
+    inside = (x > low if low_open else x >= low) & (x <= high)
+    if not (inside.all() if x.ndim else inside):  # a numpy scalar's all() is slow
+        raise ValidationError(message.format(repr(float(x.flat[(~inside).argmax()]))) + note)
+    return float(x) if scalar else x
 
 
 def _check_finite(name: str, value: float) -> float:
-    value = float(_numbers(value, f"{name} must be finite, got {{}}"))
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+    return _check_interval(value, f"{name} must be finite, got {{}}", -_FLOAT_MAX, _FLOAT_MAX)
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    value = float(_numbers(value, f"{name} must be in [0, 1], got {{}}"))
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
-    return value
+    return _check_interval(value, f"{name} must be in [0, 1], got {{}}", 0.0, 1.0)
 
 
-def _check_bias(g) -> np.ndarray:
-    """``g`` as floats (a numpy scalar for 0-d input), after checking every detector bias is in (0, 1]."""
-    g = _numbers(g, "detector bias g must be in (0, 1], got {}")
-    bad = ~((g > 0.0) & (g <= 1.0))
-    if bad.any():
-        raise ValidationError(
-            f"detector bias g must be in (0, 1], got {float(g.flat[bad.argmax()])!r}; "
-            "g = 0 carries no information and is rejected outright"
-        )
-    return g
+def _check_bias(g, scalar=False):
+    """``g`` after checking every detector bias is in (0, 1]; see :func:`_check_interval`."""
+    message = "detector bias g must be in (0, 1], got {}"
+    note = "; g = 0 carries no information and is rejected outright"
+    return _check_interval(g, message, 0.0, 1.0, low_open=True, scalar=scalar, note=note)
 
 
 @dataclass(frozen=True)
@@ -75,7 +87,7 @@ class ContextualValues:
     @classmethod
     def symmetric(cls, g: float) -> "ContextualValues":
         """Weights (1/g, -1/g) for the symmetric detector with bias g."""
-        g = float(_check_bias(g))
+        g = _check_bias(g, scalar=True)
         return cls(alpha_s=1.0 / g, alpha_sbar=-1.0 / g)
 
     @property
@@ -94,7 +106,7 @@ class ResponseMatrix:
     __slots__ = ("_table",)
 
     def __init__(self, table):
-        t = np.array(table, dtype=float)
+        t = np.array(_numbers(table, "response matrix entries must be probabilities in [0, 1]"))
         if t.shape != (2, 2):
             raise ValidationError(f"response matrix must be 2x2, got shape {t.shape}")
         if not np.all(np.isfinite(t)) or np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
@@ -111,7 +123,7 @@ class ResponseMatrix:
 
     @classmethod
     def symmetric(cls, g: float) -> "ResponseMatrix":
-        g = float(_check_bias(g))
+        g = _check_bias(g, scalar=True)
         a = (1.0 + g) / 2.0
         abar = (1.0 - g) / 2.0
         return cls([[a, abar], [1.0 - a, 1.0 - abar]])
@@ -130,7 +142,7 @@ def solve_cv(response: ResponseMatrix, eigenvalues=(1.0, -1.0)) -> ContextualVal
         statistics are identical for both boxes and the detector carries
         no information about the observable.
     """
-    target = np.asarray(eigenvalues, dtype=float)
+    target = _numbers(eigenvalues, "eigenvalues must be two finite reals, got {}")
     if target.shape != (2,) or not np.all(np.isfinite(target)):
         raise ValidationError(f"eigenvalues must be two finite reals, got {eigenvalues!r}")
     rt = response.table.T

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ClassicalParams, joint_distribution
-from .contextual import ContextualValues
+from .contextual import ContextualValues, _numbers
 from .errors import DomainError, ValidationError, _shown
 from .quantum import MeasurementModel, TwoLevelState, joint_outcome_probs
 from .tables import BOXES, SIGNALS, JointDistribution, _cell, _flat_cells, _signal_average
@@ -155,7 +155,7 @@ class CountTable:
     __slots__ = ("_counts",)
 
     def __init__(self, counts):
-        c = np.array(counts, dtype=np.int64)
+        c = np.array(_numbers(counts, "counts must be integers, got {}", np.int64))
         if c.shape != (2, 2):
             raise ValidationError(f"count table must be 2x2, got shape {c.shape}")
         if np.any(c < 0):

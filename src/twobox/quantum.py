@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contextual import _check_unit_interval, _numbers
+from .contextual import _check_interval, _check_unit_interval, _numbers
 from .errors import DomainError, ValidationError
-from .tables import JointDistribution, _box2, _check_tables, _postselected, _stack
+from .tables import JointDistribution, _check_tables, _postselected, _stack
 
 __all__ = [
     "TwoLevelState",
@@ -46,13 +46,11 @@ __all__ = [
     "weak_value",
     "joint_outcome_probs",
     "outcome_tables",
-    "postselection_probability",
     "conditional_mean_quantum",
     "density_matrix",
     "unconditioned_post_measurement_state",
     "validate_density_matrix",
     "trace_distance",
-    "quantum_disturbance",
 ]
 
 _OVERLAP_FLOOR = 1e-14
@@ -67,7 +65,7 @@ class TwoLevelState:
 
     def __post_init__(self):
         message = "state amplitudes must be numbers, got {}"
-        a1, a2 = (complex(_numbers(a, message, complex)) for a in (self.a1, self.a2))
+        a1, a2 = (complex(_numbers(a, message, complex, scalar=True)) for a in (self.a1, self.a2))
         norm = abs(a1) ** 2 + abs(a2) ** 2
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"state must be normalized, got |a1|^2 + |a2|^2 = {norm!r}")
@@ -92,9 +90,7 @@ class Postselection:
     theta: float
 
     def __post_init__(self):
-        theta = float(_numbers(self.theta, "theta must be in [0, 2*pi], got {}"))
-        if not 0.0 <= theta <= 2.0 * math.pi:
-            raise ValidationError(f"theta must be in [0, 2*pi], got {theta!r}")
+        theta = _check_interval(self.theta, "theta must be in [0, 2*pi], got {}", 0.0, 2.0 * math.pi)
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -103,13 +99,9 @@ class Postselection:
         return TwoLevelState(a1=math.cos(half), a2=-math.sin(half))
 
 
-def _check_coupling(lam) -> np.ndarray:
-    """``lam`` as floats (a numpy scalar for 0-d input), after checking every coupling is in [0, 1]."""
-    lam = _numbers(lam, "coupling lam must be in [0, 1], got {}")
-    bad = ~((lam >= 0.0) & (lam <= 1.0))
-    if bad.any():
-        raise ValidationError(f"coupling lam must be in [0, 1], got {float(lam.flat[bad.argmax()])!r}")
-    return lam
+def _check_coupling(lam, scalar=False):
+    """``lam`` after checking every coupling is in [0, 1]; see :func:`_check_interval`."""
+    return _check_interval(lam, "coupling lam must be in [0, 1], got {}", 0.0, 1.0, scalar=scalar)
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ class MeasurementModel:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", float(_check_coupling(self.lam)))
+        object.__setattr__(self, "lam", _check_coupling(self.lam, scalar=True))
 
     @property
     def c_plus(self) -> float:
@@ -196,11 +188,6 @@ def joint_outcome_probs(
     return JointDistribution(outcome_tables(i, f, m.lam))
 
 
-def postselection_probability(i: TwoLevelState, m: MeasurementModel, f: TwoLevelState) -> float:
-    """Probability that the postselection onto ``f`` succeeds."""
-    return float(_box2(outcome_tables(i, f, m.lam)))
-
-
 def _conditional_means(i: TwoLevelState, f: TwoLevelState, lam):
     """Conditional means over a coupling array, after the checks of :func:`conditional_mean_quantum`.
 
@@ -270,16 +257,12 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def _disturbances(i: TwoLevelState, lam):
-    lam = np.asarray(lam, dtype=float)
-    return abs(i.a1 * i.a2) * (lam * lam) / (1.0 + np.sqrt(1.0 - lam * lam))
-
-
-def quantum_disturbance(i: TwoLevelState, m: MeasurementModel) -> float:
-    """Trace distance between the input state and the measured-and-forgotten state.
+    """Trace distance between the input state and the measured-and-forgotten state, over a coupling array.
 
     This is |a1*a2| * (1 - sqrt(1 - lam^2)), evaluated as |a1*a2| * lam^2 /
     (1 + sqrt(1 - lam^2)) to keep full precision: of order lam^2 / 2 in the
     weak limit, quantum back-action on the unconditioned state is
     quadratically small in the coupling.
     """
-    return float(_disturbances(i, m.lam))
+    lam = np.asarray(lam, dtype=float)
+    return abs(i.a1 * i.a2) * (lam * lam) / (1.0 + np.sqrt(1.0 - lam * lam))

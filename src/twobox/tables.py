@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .contextual import _numbers
 from .errors import DomainError, ValidationError, _shown
 
 __all__ = ["SIGNALS", "BOXES", "JointDistribution"]
@@ -78,7 +79,7 @@ class JointDistribution:
     __slots__ = ("_table",)
 
     def __init__(self, table):
-        t = np.array(table, dtype=float)
+        t = _numbers(table, "joint table entries must be numbers, got {}")
         if t.shape != (2, 2):
             raise ValidationError(f"joint table must be 2x2, got shape {t.shape}")
         t = _check_tables(t)

@@ -17,16 +17,13 @@ from twobox import (
     SweepResult,
     TwoLevelState,
     ValidationError,
-    classical_postselection_shift,
     conditional_mean,
     conditional_mean_quantum,
     fc_match_params,
     fit_power_law,
     joint_distribution,
-    metric_names,
-    postselection_probability,
+    joint_outcome_probs,
     projector_weak_values,
-    quantum_disturbance,
     quantum_postselection_shift,
     richardson_extrapolate,
     sweep_metric,
@@ -40,20 +37,21 @@ def scalar_metric(protocol, metric: str, x: float) -> float:
     """One grid point through the scalar API."""
     if isinstance(protocol, ClassicalMatchedProtocol):
         params = fc_match_params(protocol.theta, x)
-        if metric == "postselection_shift":
-            return classical_postselection_shift(params)
         dist = joint_distribution(params)
         if metric == "postselection_probability":
             return dist.p_box(2)
+        if metric == "postselection_shift":
+            return abs(dist.p_box(2) - params.p2)
         mean = conditional_mean(dist, ContextualValues.symmetric(x), 2)
     else:
         i, f, model = protocol.preparation, protocol.postselection, MeasurementModel(x)
         if metric == "postselection_probability":
-            return postselection_probability(i, model, f)
+            return joint_outcome_probs(i, model, f).p_box(2)
         if metric == "postselection_shift":
             return quantum_postselection_shift(i, f, x)
         if metric == "quantum_disturbance":
-            return quantum_disturbance(i, model)
+            # the closed form |a1 a2| (1 - sqrt(1 - lam^2)), rationalized as in the kernel
+            return abs(i.a1 * i.a2) * (x * x) / (1.0 + math.sqrt(1.0 - x * x))
         mean = conditional_mean_quantum(i, model, f)
     return mean if metric == "conditional_mean" else abs(mean - protocol.target)
 
@@ -96,7 +94,7 @@ def cut_grids(draw):
     theta = draw(st.floats(0.0, 1.5))
     p1 = draw(st.floats(0.0, 1.0))
     protocol = draw(st.sampled_from([ClassicalMatchedProtocol(theta), QuantumProtocol(p1, theta)]))
-    metric = draw(st.sampled_from(metric_names(protocol)))
+    metric = draw(st.sampled_from(protocol.metrics))
     fractions = draw(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=24, unique=True))
     # classical biases stay below cos(theta), where the recipe is defined
     top = math.cos(theta) if protocol.parameter == "g" else 1.0
@@ -160,7 +158,7 @@ class TestShifts:
     def test_classical_matched_shift_is_cosine(self):
         # matched parameters move P(box 2) from 0 to cos(theta), at every bias
         for g in (0.1, 0.01, 0.001):
-            shift = classical_postselection_shift(fc_match_params(math.pi / 3, g))
+            shift = sweep_metric(ClassicalMatchedProtocol(math.pi / 3), "postselection_shift", [g]).values[0]
             assert shift == pytest.approx(0.5, abs=1e-12)
 
     def test_quantum_shift_matched_point(self):
@@ -207,7 +205,7 @@ class TestSweeps:
             (classical, np.unique(np.array(fractions) * math.cos(theta))),
             (quantum, np.unique(fractions)),
         ):
-            for metric in metric_names(protocol):
+            for metric in protocol.metrics:
                 assert_sweep_matches_loop(protocol, metric, grid)
 
     @pytest.mark.parametrize(
@@ -281,8 +279,8 @@ class TestSweeps:
             sweep_metric(QuantumProtocol(0.75, 1.0), "conditional_mean", [0.0, 0.1])
 
     def test_metric_names_by_protocol(self):
-        classical = metric_names(ClassicalMatchedProtocol(1.0))
-        quantum = metric_names(QuantumProtocol(0.5, 1.0))
+        classical = ClassicalMatchedProtocol(1.0).metrics
+        quantum = QuantumProtocol(0.5, 1.0).metrics
         assert "quantum_disturbance" not in classical
         assert "quantum_disturbance" in quantum
         assert set(classical) < set(quantum)
@@ -514,4 +512,4 @@ class TestNegativityWitness:
                 continue
             found += 1
             assert min_disturbance_for_value(aw, 0.05, 51) > 0.0
-            assert quantum_disturbance(i, MeasurementModel(0.05)) < 0.002
+            assert sweep_metric(QuantumProtocol(p1, theta), "quantum_disturbance", [0.05]).values[0] < 0.002

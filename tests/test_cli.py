@@ -1,17 +1,22 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twobox import (
     ClassicalMatchedProtocol,
     ContextualValues,
     CountTable,
+    DomainError,
     MeasurementModel,
     Postselection,
     QuantumProtocol,
@@ -22,7 +27,7 @@ from twobox import (
     estimate_conditional_mean,
     sweep_metric,
 )
-from twobox.cli import MODES, _range_block, _write_atomic, main, run, validate_result_document
+from twobox.cli import MODES, _range_block, _run_quantum, _write_atomic, main, run, validate_result_document
 from twobox.montecarlo import _BLOCK as BLOCK
 
 MATCHED_CFG = {
@@ -93,7 +98,31 @@ class TestQuantumMode:
         assert res["conditional_mean"] == pytest.approx(1.985074533578583, rel=1e-12)
         assert res["postselection_probability"] == pytest.approx(0.25187971108501767, rel=1e-12)
         assert res["postselection_shift"] == pytest.approx(0.0018797110850176657, rel=1e-10)
-        assert res["disturbance"] == pytest.approx(0.002170503401867141, rel=1e-10)
+        assert res["quantum_disturbance"] == pytest.approx(0.002170503401867141, rel=1e-10)
+        assert res["conditional_mean_error"] == pytest.approx(2.0 - 1.985074533578583, rel=1e-10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p1=st.floats(0.0, 1.0), theta=st.floats(-10.0, 10.0), lam=st.floats(0.0, 1.0))
+    def test_coupling_block_is_the_sweep_at_one_point(self, p1, theta, lam):
+        protocol = QuantumProtocol(p1, theta)
+        try:
+            result = _run_quantum({"mode": "quantum", "p1": p1, "theta": theta, "lambda": lam}, None).result
+        except DomainError:
+            # zero coupling or zero overlap, where the conditional mean's error is undefined
+            with pytest.raises(DomainError):
+                sweep_metric(protocol, "conditional_mean_error", [lam])
+            return
+        for metric in protocol.metrics:
+            assert result[metric] == sweep_metric(protocol, metric, [lam]).values[0], metric
+
+    def test_coupling_block_and_readme_list_the_protocol_metrics(self, capsys):
+        without = run_to_doc({"mode": "quantum", "p1": 0.75, "theta": 1.0}, capsys)[0]["result"]
+        with_lambda = run_to_doc(dict(self.CFG), capsys)[0]["result"]
+        assert with_lambda.keys() - without.keys() == {"lambda", *QuantumProtocol.metrics}
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        command_line = readme.split("## Command line")[1].split("\n## ")[0]
+        sentence = command_line[command_line.index("\nMetrics") :].split(".\n")[0]
+        assert tuple(re.findall(r"`([a-z_]+)`", sentence)) == QuantumProtocol.metrics
 
     def test_without_lambda_no_coupling_keys(self, capsys):
         cfg = {"mode": "quantum", "p1": 0.75, "theta": math.pi / 3}
@@ -523,6 +552,11 @@ class TestResultDocumentValidation:
         doc["extra"] = 1
         with pytest.raises(ValidationError, match="exactly the keys"):
             validate_result_document(doc)
+
+    def test_accepts_an_int_beyond_the_float_range(self):
+        doc = self.template()
+        doc["result"]["x"] = 10**400
+        validate_result_document(doc)
 
     def test_rejects_nan(self):
         doc = self.template()

@@ -7,10 +7,20 @@ from numpy.testing import assert_allclose
 from twobox import (
     ClassicalParams,
     ContextualValues,
+    CountTable,
     DomainError,
+    JointDistribution,
+    MeasurementModel,
+    Postselection,
+    QuantumProtocol,
     ResponseMatrix,
+    SweepResult,
+    TwoLevelState,
     ValidationError,
+    fc_match_params,
     joint_distribution,
+    min_disturbance_for_value,
+    richardson_extrapolate,
     solve_cv,
     unconditional_mean,
 )
@@ -117,3 +127,42 @@ def test_solved_weights_unbias_the_protocol():
         params = ClassicalParams(rng.uniform(0, 1), g, rng.uniform(0, 1), rng.uniform(0, 1))
         mean = unconditional_mean(joint_distribution(params), cv)
         assert mean == pytest.approx(params.p1 - params.p2, abs=1e-10)
+
+
+HUGE = 10**400  # an int beyond the float range
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ClassicalParams(p1=[0.5, 0.6], g=0.5, q=0.1, q0=0.1), "p1 must be in [0, 1], got [0.5, 0.6]"),
+        (lambda: ClassicalParams(p1=0.5, g=[0.5, 0.6], q=0.1, q0=0.1), "detector bias g must be in (0, 1], got [0.5"),
+        (lambda: QuantumProtocol(0.5, [1, 2]), "theta must be finite, got [1, 2]"),
+        (lambda: MeasurementModel([0.1, 0.2]), "coupling lam must be in [0, 1], got [0.1, 0.2]"),
+        (lambda: Postselection([0.1, 0.2]), "theta must be in [0, 2*pi], got [0.1, 0.2]"),
+        (lambda: TwoLevelState([1, 0], 0), "state amplitudes must be numbers, got [1, 0]"),
+        (lambda: ContextualValues.symmetric([0.5, 0.6]), "detector bias g must be in (0, 1], got [0.5, 0.6]"),
+        (lambda: min_disturbance_for_value([1.5, 2.0], 0.5), "v_target must be finite, got [1.5, 2.0]"),
+        (lambda: min_disturbance_for_value(1.5, [0.5, 0.6]), "detector bias g must be in (0, 1], got [0.5"),
+        (lambda: fc_match_params(math.inf, 0.5), "theta must be finite, got inf"),
+        (lambda: fc_match_params(HUGE, 0.5), f"theta must be finite, got {HUGE!r}"),
+        (lambda: fc_match_params("abc", 0.5), "theta must be finite, got 'abc'"),
+        (lambda: fc_match_params(None, 0.5), "theta must be finite, got nan"),
+        (lambda: SweepResult("g", ["a", "b"], [1.0, 2.0], "p", "m"), "strengths must be numbers, got ['a', 'b']"),
+        (lambda: SweepResult("g", [0.1, 0.2], [HUGE, 2.0], "p", "m"), "values must be numbers, got [1000"),
+        (lambda: richardson_extrapolate(["a", "b"], [1.0, 2.0]), "strengths must be numbers, got ['a', 'b']"),
+        (lambda: richardson_extrapolate([0.1, 0.2], [HUGE, 2.0]), "values must be numbers, got [1000"),
+        (lambda: JointDistribution([["a", 0], [0, 1]]), "joint table entries must be numbers, got [['a', 0]"),
+        (lambda: JointDistribution([[HUGE, 0], [0, 1]]), "joint table entries must be numbers, got [[1000"),
+        (lambda: CountTable([["a", 0], [0, 1]]), "counts must be integers, got [['a', 0], [0, 1]]"),
+        (lambda: CountTable([[HUGE, 0], [0, 1]]), "counts must be integers, got [[1000"),
+        (lambda: ResponseMatrix([["a", 0], [0, 1]]), "response matrix entries must be probabilities in [0, 1]"),
+        (lambda: ResponseMatrix([[HUGE, 0], [0, 1]]), "response matrix entries must be probabilities in [0, 1]"),
+        (lambda: solve_cv(ResponseMatrix.symmetric(0.5), ("a", -1.0)), "eigenvalues must be two finite reals, got ('a'"),
+        (lambda: solve_cv(ResponseMatrix.symmetric(0.5), (HUGE, -1.0)), "eigenvalues must be two finite reals, got (1000"),
+    ],
+)
+def test_entry_points_reject_malformed_numbers_with_a_validation_error(call, message):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value).startswith(message)

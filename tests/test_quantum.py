@@ -11,6 +11,7 @@ from twobox import (
     DomainError,
     MeasurementModel,
     Postselection,
+    QuantumProtocol,
     TwoLevelState,
     ValidationError,
     conditional_mean,
@@ -19,8 +20,7 @@ from twobox import (
     expectation,
     joint_outcome_probs,
     outcome_tables,
-    postselection_probability,
-    quantum_disturbance,
+    sweep_metric,
     trace_distance,
     unconditioned_post_measurement_state,
     validate_density_matrix,
@@ -263,19 +263,21 @@ class TestDensityMatrices:
         assert trace_distance(rho1, rho2) == pytest.approx(1.0, rel=1e-12)
 
 
+def protocol_metric(p1, metric, lam, theta=math.pi / 3):
+    """One metric of the quantum protocol at one coupling."""
+    return sweep_metric(QuantumProtocol(p1, theta), metric, [lam]).values[0]
+
+
 class TestDisturbance:
     def test_zero_coupling_no_disturbance(self):
-        assert quantum_disturbance(
-            TwoLevelState.from_occupation(0.75), MeasurementModel(0.0)
-        ) == pytest.approx(0.0, abs=1e-15)
+        assert protocol_metric(0.75, "quantum_disturbance", 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_eigenstate_undisturbed(self):
-        i = TwoLevelState(a1=1.0, a2=0.0)
         for lam in (0.1, 0.5, 1.0):
-            assert quantum_disturbance(i, MeasurementModel(lam)) == pytest.approx(0.0, abs=1e-15)
+            assert protocol_metric(1.0, "quantum_disturbance", lam) == pytest.approx(0.0, abs=1e-15)
 
     def test_matched_point_value(self):
-        got = quantum_disturbance(TwoLevelState.from_occupation(0.75), MeasurementModel(0.1))
+        got = protocol_metric(0.75, "quantum_disturbance", 0.1)
         assert got == pytest.approx(0.002171, abs=1e-6)
         assert got == pytest.approx(0.002170503401867141, rel=1e-12)
 
@@ -286,9 +288,7 @@ class TestDisturbance:
             lam = rng.uniform(0, 1)
             i = TwoLevelState.from_occupation(p1)
             closed = abs(i.a1 * i.a2) * (1 - math.sqrt(1 - lam**2))
-            assert quantum_disturbance(i, MeasurementModel(lam)) == pytest.approx(
-                closed, abs=1e-12
-            )
+            assert protocol_metric(p1, "quantum_disturbance", lam) == pytest.approx(closed, abs=1e-12)
 
     def test_back_action_closed_form(self):
         # |P_f(lam) - P_f(0)| = |2ab (sqrt(1-lam^2) - 1)| for real states
@@ -299,7 +299,7 @@ class TestDisturbance:
             lam = rng.uniform(0, 1)
             i = TwoLevelState.from_occupation(p1)
             f = Postselection(theta).state
-            shift = postselection_probability(i, MeasurementModel(lam), f) - abs(
+            shift = protocol_metric(p1, "postselection_probability", lam, theta) - abs(
                 np.conj(f.vector) @ i.vector
             ) ** 2
             a = f.a1 * i.a1
@@ -310,27 +310,20 @@ class TestDisturbance:
 
 class TestPostselectionProbability:
     def test_zero_coupling_is_overlap(self):
-        i = TwoLevelState.from_occupation(0.75)
-        f = Postselection(math.pi / 3).state
-        assert postselection_probability(i, MeasurementModel(0.0), f) == pytest.approx(
-            0.25, rel=1e-12
-        )
+        assert protocol_metric(0.75, "postselection_probability", 0.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_identity_overlap(self):
         i = TwoLevelState.from_occupation(0.4)
-        assert postselection_probability(i, MeasurementModel(0.0), i) == pytest.approx(
-            1.0, rel=1e-12
-        )
+        assert joint_outcome_probs(i, MeasurementModel(0.0), i).p_box(2) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_joint_table(self):
         rng = np.random.default_rng(55)
         for _ in range(100):
-            i = random_state(rng)
-            f = random_state(rng)
+            protocol = QuantumProtocol(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
             m = MeasurementModel(rng.uniform(0, 1))
-            assert postselection_probability(i, m, f) == pytest.approx(
-                joint_outcome_probs(i, m, f).p_box(2), rel=1e-12, abs=1e-14
-            )
+            got = sweep_metric(protocol, "postselection_probability", [m.lam]).values[0]
+            d = joint_outcome_probs(protocol.preparation, m, protocol.postselection)
+            assert got == pytest.approx(d.p_box(2), rel=1e-12, abs=1e-14)
 
 
 angles = st.floats(0.0, 2.0 * math.pi)
@@ -361,8 +354,8 @@ class TestKrausReferences:
             assert t[row, 0] == pytest.approx(np.vdot(after, after).real - p_f, abs=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(i=states, lam=st.floats(0.0, 1.0))
-    def test_disturbance(self, i, lam):
-        m = MeasurementModel(lam)
-        reference = trace_distance(density_matrix(i), unconditioned_post_measurement_state(i, m))
-        assert quantum_disturbance(i, m) == pytest.approx(reference, abs=1e-12)
+    @given(p1=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0))
+    def test_disturbance(self, p1, lam):
+        i = QuantumProtocol(p1, 1.0).preparation
+        reference = trace_distance(density_matrix(i), unconditioned_post_measurement_state(i, MeasurementModel(lam)))
+        assert protocol_metric(p1, "quantum_disturbance", lam, 1.0) == pytest.approx(reference, abs=1e-12)

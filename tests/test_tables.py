@@ -40,8 +40,6 @@ def test_public_api_is_the_union_of_the_module_lists():
 
 
 def test_moved_names_stay_importable_from_classical():
-    assert classical.SIGNALS is SIGNALS
-    assert classical.BOXES is BOXES
     assert classical.JointDistribution is twobox.JointDistribution
 
 

@@ -1,4 +1,4 @@
-"""Protocol sweeps, scaling fits, weak-limit extrapolation, negativity witness.
+"""Protocol sweeps, scaling fits and weak-limit extrapolation.
 
 This module compares the two engines on an equal footing. A protocol
 object fixes everything except the measurement strength (the detector
@@ -26,13 +26,12 @@ from .classical import _matched_cosine, _matched_switching, joint_tables
 from .contextual import _check_finite, _check_unit_interval, _numbers
 from .errors import DomainError, TwoBoxError, ValidationError, _shown
 from .quantum import (
-    MeasurementModel,
     Postselection,
     TwoLevelState,
     _check_coupling,
     _conditional_means,
     _disturbances,
-    _overlap,
+    _quantum_shifts,
     outcome_tables,
     weak_value,
 )
@@ -43,13 +42,10 @@ __all__ = [
     "QuantumProtocol",
     "SweepResult",
     "PowerLawFit",
-    "ProjectorWeakValues",
-    "quantum_postselection_shift",
     "sweep_metric",
     "fit_power_law",
     "richardson_extrapolate",
     "weak_limit_extrapolate",
-    "projector_weak_values",
 ]
 
 
@@ -126,16 +122,6 @@ class QuantumProtocol:
             return _disturbances(i, lam)
         mean = _conditional_means(i, f, lam)
         return mean if metric == "conditional_mean" else np.abs(mean - self.target)
-
-
-def quantum_postselection_shift(i: TwoLevelState, f: TwoLevelState, lam: float) -> float:
-    """How far the coupling moves the postselection probability from its lam = 0 value."""
-    return float(_quantum_shifts(i, f, MeasurementModel(lam).lam))
-
-
-def _quantum_shifts(i: TwoLevelState, f: TwoLevelState, lam):
-    undisturbed = abs(f.a1.conjugate() * i.a1 + f.a2.conjugate() * i.a2) ** 2
-    return np.abs(_box2(outcome_tables(i, f, lam)) - undisturbed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,26 +322,3 @@ def weak_limit_extrapolate(points: SweepResult) -> float:
         raise ValidationError(f"weak-limit extrapolation needs at least 3 points, got {len(points)}")
     limit, _ = richardson_extrapolate(points.strengths, points.values)
     return limit
-
-
-@dataclass(frozen=True)
-class ProjectorWeakValues:
-    """Weak values of the two box projectors and their negativity flag.
-
-    The pair always sums to 1; ``negative`` is True when either real part
-    dips below zero, the conditioned quasiprobability reading of an
-    anomalous weak value.
-    """
-
-    w1: complex
-    w2: complex
-    negative: bool
-
-
-def projector_weak_values(i: TwoLevelState, f: TwoLevelState) -> ProjectorWeakValues:
-    """Weak values <f|b><b|i>/<f|i> of the box projectors, b = 1, 2."""
-    ovl = _overlap(i, f)
-    w1 = complex(np.conj(f.a1) * i.a1 / ovl)
-    w2 = complex(np.conj(f.a2) * i.a2 / ovl)
-    negative = min(w1.real, w2.real) < -1e-12
-    return ProjectorWeakValues(w1=w1, w2=w2, negative=negative)

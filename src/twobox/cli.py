@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    ClassicalMatchedProtocol,
-    QuantumProtocol,
-    _sweep_blocks,
-    projector_weak_values,
-    sweep_metric,
-)
+from .analysis import ClassicalMatchedProtocol, QuantumProtocol, _sweep_blocks, sweep_metric
 from .classical import ClassicalParams, conditional_mean, fc_match_params, joint_distribution, unconditional_mean
 from .contextual import ContextualValues
 from .errors import DomainError, TwoBoxError, ValidationError, _shown
@@ -60,6 +54,7 @@ from .quantum import (
     conditional_mean_quantum,
     expectation,
     joint_outcome_probs,
+    projector_weak_values,
     weak_value,
 )
 from .tables import BOXES, SIGNALS

@@ -155,7 +155,12 @@ class CountTable:
     __slots__ = ("_counts",)
 
     def __init__(self, counts):
-        c = np.array(_numbers(counts, "counts must be integers, got {}", np.int64))
+        message = "counts must be integers, got {}"
+        if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"):
+            whole = _numbers(counts, message)
+            if not (np.isfinite(whole) & (whole == np.trunc(whole))).all():  # an int64 cast would truncate
+                raise ValidationError(message.format(_shown(counts)))
+        c = np.array(_numbers(counts, message, np.int64))  # from the input, so ints above 2**53 stay exact
         if c.shape != (2, 2):
             raise ValidationError(f"count table must be 2x2, got shape {c.shape}")
         if np.any(c < 0):
@@ -230,8 +235,11 @@ def _simulate(n: int, seed: int, k: int, stages) -> TrialTrace:
     """Trace of n trials: ``stages`` maps each block of k uniforms per trial to (signal, final box)."""
     n = _check_below("number of trials", n, 63)
     gen = _generator(_check_below("seed", seed, 64))
-    signal = np.empty(n, dtype=bool)
-    final_box = np.empty(n, dtype=np.uint8)
+    try:
+        signal = np.empty(n, dtype=bool)
+        final_box = np.empty(n, dtype=np.uint8)
+    except MemoryError as err:
+        raise ValidationError(f"a trace of n = {n} trials needs {2 * n} bytes, more than can be allocated") from err
     for lo, hi, u in _draw_blocks(gen, n, k):
         signal[lo:hi], final_box[lo:hi] = stages(u)
     return TrialTrace(signal, final_box)

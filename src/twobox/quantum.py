@@ -3,8 +3,8 @@
 The system is a two-level 'which box' degree of freedom. The detector is a
 binary instrument with Kraus operators
 
-    M_S    = diag(c_plus, c_minus)
-    M_Sbar = diag(c_minus, c_plus),      c_pm = sqrt((1 pm lam) / 2),
+    M_S    = diag(c+, c-)
+    M_Sbar = diag(c-, c+),      c+ = sqrt((1 + lam) / 2), c- = sqrt((1 - lam) / 2),
 
 so a signal is emitted with probability (1 + lam)/2 from box 1 and
 (1 - lam)/2 from box 2, matching the classical detector with bias
@@ -24,7 +24,10 @@ lam -> 0, to the weak value of the box observable A = |1><1| - |2><2|,
     A_w = <f|A|i> / <f|i>,
 
 which exceeds 1 whenever the postselection nearly undoes the preparation.
-All quantities are computed from exact 2x2 linear algebra.
+The weak values, the conditional means and the postselection shift are
+closed forms in the amplitude products x = conj(f1) a1 and
+y = conj(f2) a2, formed once in :func:`_products`. The projector weak
+values x/<f|i> and y/<f|i> sum to 1; a negative one witnesses the anomaly.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .contextual import _check_interval, _check_unit_interval, _numbers
 from .errors import DomainError, ValidationError
-from .tables import JointDistribution, _check_tables, _postselected, _stack
+from .tables import JointDistribution, _box2, _check_tables, _postselected, _stack
 
 __all__ = [
     "TwoLevelState",
@@ -47,10 +50,9 @@ __all__ = [
     "joint_outcome_probs",
     "outcome_tables",
     "conditional_mean_quantum",
-    "density_matrix",
-    "unconditioned_post_measurement_state",
-    "validate_density_matrix",
-    "trace_distance",
+    "quantum_postselection_shift",
+    "ProjectorWeakValues",
+    "projector_weak_values",
 ]
 
 _OVERLAP_FLOOR = 1e-14
@@ -113,22 +115,6 @@ class MeasurementModel:
     def __post_init__(self):
         object.__setattr__(self, "lam", _check_coupling(self.lam, scalar=True))
 
-    @property
-    def c_plus(self) -> float:
-        return math.sqrt((1.0 + self.lam) / 2.0)
-
-    @property
-    def c_minus(self) -> float:
-        return math.sqrt((1.0 - self.lam) / 2.0)
-
-    @property
-    def kraus_signal(self) -> np.ndarray:
-        return np.diag([self.c_plus, self.c_minus]).astype(complex)
-
-    @property
-    def kraus_no_signal(self) -> np.ndarray:
-        return np.diag([self.c_minus, self.c_plus]).astype(complex)
-
 
 def _overlap(i: TwoLevelState, f: TwoLevelState) -> complex:
     """<f|i>, after checking that it is not zero, where weak values are undefined."""
@@ -136,6 +122,15 @@ def _overlap(i: TwoLevelState, f: TwoLevelState) -> complex:
     if abs(ovl) <= _OVERLAP_FLOOR:
         raise DomainError("undefined weak value (zero overlap between preparation and postselection)")
     return ovl
+
+
+def _products(i: TwoLevelState, f: TwoLevelState) -> tuple:
+    """The amplitude products (x, y) = (conj(f1) a1, conj(f2) a2), as numpy complex scalars.
+
+    <f|i> = x + y and <f|A|i> = x - y. The numpy products keep the bits
+    of every result; Python complex arithmetic changes their last bits.
+    """
+    return np.conj(f.a1) * i.a1, np.conj(f.a2) * i.a2
 
 
 def expectation(state: TwoLevelState) -> float:
@@ -153,8 +148,8 @@ def weak_value(i: TwoLevelState, f: TwoLevelState) -> complex:
         magnitude below 1e-14), where the weak value is undefined.
     """
     ovl = _overlap(i, f)
-    numerator = np.conj(f.a1) * i.a1 - np.conj(f.a2) * i.a2
-    return complex(numerator / ovl)
+    x, y = _products(i, f)
+    return complex((x - y) / ovl)
 
 
 def _abs2(z):
@@ -170,14 +165,14 @@ def outcome_tables(i: TwoLevelState, f: TwoLevelState, lam) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)[()]  # numpy scalar for 0-d input: cheaper arithmetic
     with np.errstate(invalid="ignore"):
-        c_plus, c_minus = np.sqrt((1.0 + lam) / 2.0), np.sqrt((1.0 - lam) / 2.0)
+        plus, minus = np.sqrt((1.0 + lam) / 2.0), np.sqrt((1.0 - lam) / 2.0)
 
     def row(c1, c2):
         """P(box 1) and P(box 2) jointly with the outcome of Kraus operator diag(c1, c2)."""
         psi1, psi2 = c1 * i.a1, c2 * i.a2
         return _abs2(-f.a2 * psi1 + f.a1 * psi2), _abs2(f.a1.conjugate() * psi1 + f.a2.conjugate() * psi2)
 
-    (s1, s2), (sbar1, sbar2) = row(c_plus, c_minus), row(c_minus, c_plus)
+    (s1, s2), (sbar1, sbar2) = row(plus, minus), row(minus, plus)
     return _stack(s1, sbar1, s2, sbar2)
 
 
@@ -199,7 +194,7 @@ def _conditional_means(i: TwoLevelState, f: TwoLevelState, lam):
     if (lam == 0.0).any():
         raise DomainError("conditional mean undefined at zero coupling (lam = 0)")
     _, pf = _postselected(_check_tables(outcome_tables(i, f, lam)))
-    x, y = f.a1.conjugate() * i.a1, f.a2.conjugate() * i.a2
+    x, y = _products(i, f)
     return (_abs2(x) - _abs2(y)) / pf
 
 
@@ -220,42 +215,6 @@ def conditional_mean_quantum(i: TwoLevelState, m: MeasurementModel, f: TwoLevelS
     return float(_conditional_means(i, f, m.lam))
 
 
-def density_matrix(state: TwoLevelState) -> np.ndarray:
-    v = state.vector
-    return np.outer(v, np.conj(v))
-
-
-def unconditioned_post_measurement_state(i: TwoLevelState, m: MeasurementModel) -> np.ndarray:
-    """State after the detector fires, averaged over both outcomes."""
-    rho = density_matrix(i)
-    out = np.zeros((2, 2), dtype=complex)
-    for kraus in (m.kraus_signal, m.kraus_no_signal):
-        out += kraus @ rho @ np.conj(kraus.T)
-    return out
-
-
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity to within 1e-12."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValidationError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        raise ValidationError("density matrix entries must be finite")
-    if np.max(np.abs(rho - np.conj(rho.T))) > 1e-12:
-        raise ValidationError("density matrix must be hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValidationError(f"density matrix trace must be 1, got {np.trace(rho)!r}")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-12:
-        raise ValidationError("density matrix must be positive semidefinite")
-    return rho
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of rho - sigma."""
-    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
 def _disturbances(i: TwoLevelState, lam):
     """Trace distance between the input state and the measured-and-forgotten state, over a coupling array.
 
@@ -266,3 +225,35 @@ def _disturbances(i: TwoLevelState, lam):
     """
     lam = np.asarray(lam, dtype=float)
     return abs(i.a1 * i.a2) * (lam * lam) / (1.0 + np.sqrt(1.0 - lam * lam))
+
+
+def quantum_postselection_shift(i: TwoLevelState, f: TwoLevelState, lam: float) -> float:
+    """How far the coupling moves the postselection probability from its lam = 0 value."""
+    return float(_quantum_shifts(i, f, _check_coupling(lam, scalar=True)))
+
+
+def _quantum_shifts(i: TwoLevelState, f: TwoLevelState, lam):
+    x, y = _products(i, f)
+    return np.abs(_box2(outcome_tables(i, f, lam)) - abs(x + y) ** 2)
+
+
+@dataclass(frozen=True)
+class ProjectorWeakValues:
+    """Weak values of the two box projectors and their negativity flag.
+
+    The pair always sums to 1; ``negative`` is True when either real part
+    dips below zero, the conditioned quasiprobability reading of an
+    anomalous weak value.
+    """
+
+    w1: complex
+    w2: complex
+    negative: bool
+
+
+def projector_weak_values(i: TwoLevelState, f: TwoLevelState) -> ProjectorWeakValues:
+    """Weak values <f|b><b|i>/<f|i> of the box projectors, b = 1, 2."""
+    ovl = _overlap(i, f)
+    x, y = _products(i, f)
+    w1, w2 = complex(x / ovl), complex(y / ovl)
+    return ProjectorWeakValues(w1=w1, w2=w2, negative=min(w1.real, w2.real) < -1e-12)

@@ -16,10 +16,15 @@ from twobox import (
     conditional_mean,
     fc_match_params,
     joint_distribution,
+    joint_tables,
     min_disturbance_for_value,
     unconditional_mean,
 )
 from twobox.classical import _conditional_mean_surface
+from reference import instrument_table, marble_instrument
+
+# the edges where the closed forms could lose a digit, besides any float in [0, 1]
+unit = st.sampled_from([0.0, 5e-324, 1.0 - 1e-16, 1.0]) | st.floats(0.0, 1.0)
 
 
 def random_params(rng):
@@ -88,6 +93,13 @@ class TestJointDistribution:
     def test_strong_detector_symmetric_preparation(self):
         d = joint_distribution(ClassicalParams(p1=0.5, g=1.0, q=0.0, q0=0.0))
         assert_allclose(d.table, [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p1=unit, g=unit, q=unit, q0=unit)
+    def test_is_the_diagonal_instrument(self, p1, g, q, q0):
+        # the marble model is the commuting case of P(s, c) = Tr(Pi_c sum_k K_{s,k} rho K_{s,k}^dagger)
+        reference = instrument_table(*marble_instrument(p1, g, q, q0))
+        assert np.max(np.abs(joint_tables(p1, g, q, q0) - reference)) <= 1e-14
 
     def test_normalization_property(self):
         rng = np.random.default_rng(101)

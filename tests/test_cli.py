@@ -195,6 +195,41 @@ class TestWitnessMode:
         assert doc["result"]["negative"] is False
 
 
+# sha256 of the JSON documents, recorded before the amplitude products were
+# written once. Each also pins a value whose last bits change when the
+# products and the divisions use Python complex arithmetic instead of numpy's.
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (
+            {"mode": "quantum", "p1": 0.2, "theta": 2.0, "lambda": 0.1},
+            "936de49093414853fae1425a3cf7b024346d20219a6baf7cf271366d8ba6f172",
+        ),
+        (
+            {"mode": "quantum", "p1": 0.3, "theta": 1.5, "lambda": 0.7},
+            "e826f9bcdbaa91d99ce74053383ce8a66f731d6d666f8237d3ed00e03352e5c0",
+        ),
+        (
+            {"mode": "quantum", "p1": 0.6, "theta": 0.5, "lambda": 1e-8},
+            "a1ea7ae08dbf51ec1c03c76044376b502145fa0b0e2fb707b01e3a2e17bfe26e",
+        ),
+        (
+            {"mode": "witness", "p1": 0.7, "theta": 2.0},  # w1 = -51.1: negative
+            "9f8f464f921f94f7c244aa5ae63253d3452334c6f78ef56730e3660057101d0c",
+        ),
+        (
+            {"mode": "witness", "p1": 0.4, "theta": 5.0},
+            "12f814a2ee41a45c52e47f1a08706e140ac16cab978b44482c1053db2c1c70b3",
+        ),
+    ],
+    ids=["quantum-anomalous", "quantum-strong", "quantum-weak", "witness-negative", "witness-positive"],
+)
+def test_quantum_and_witness_json_bytes_pinned(tmp_path, cfg, digest):
+    out = tmp_path / "point.json"
+    run(cfg, out=str(out), quiet=True)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestSweepMode:
     CFG = {
         "mode": "sweep",
@@ -626,6 +661,17 @@ class TestExitCodes:
             assert captured.err.startswith("error: number of trials must be an integer in [0, 2**63)")
             assert not out.exists()
             assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_trace_beyond_the_address_space_is_exit_2(self, tmp_path, capsys):
+        # 2**62 trials need 2**63 bytes of trace columns, which no address space holds,
+        # so the allocation fails at once and nothing is allocated
+        out = tmp_path / "trace.csv"
+        path = write_config(tmp_path, dict(TestSampleMode.CFG, n=2**62, trace=True))
+        assert main(["--config", path, "--out", str(out), "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: a trace of n = {2**62} trials needs {2**63} bytes, more than can be allocated\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_config_missing_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 2

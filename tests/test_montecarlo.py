@@ -104,6 +104,9 @@ class TestCountTable:
         assert t.n("S", 2) == 2
         assert t.n_signal("Sbar") == 7
         assert t.n_box(1) == 4
+        # whole floats are counts too, and integers stay exact beyond 2**53
+        assert CountTable([[2.0, 0], [0, 3.0]]) == CountTable([[2, 0], [0, 3]])
+        assert CountTable([[2**53 + 1, 0], [0, 2**62 + 1]]).total == 2**53 + 2**62 + 2
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError, match="nonnegative"):

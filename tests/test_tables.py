@@ -39,6 +39,27 @@ def test_public_api_is_the_union_of_the_module_lists():
     assert {"joint_tables", "outcome_tables"} <= set(names)
 
 
+# Every public name. Adding or removing one is an API change: edit this list with it.
+PUBLIC_API = [
+    "BOXES", "ClassicalMatchedProtocol", "ClassicalParams", "ContextualValues", "CountTable", "DomainError",
+    "GofResult", "JointDistribution", "MeasurementModel", "Postselection", "PowerLawFit", "ProjectorWeakValues",
+    "QuantumProtocol", "ResponseMatrix", "SIGNALS", "SweepResult", "TrialTrace", "TwoBoxError", "TwoLevelState",
+    "ValidationError", "__version__", "conditional_mean", "conditional_mean_quantum", "derive_stream_key",
+    "estimate_conditional_mean", "expectation", "fc_match_params", "fit_power_law", "gof_test",
+    "joint_distribution", "joint_outcome_probs", "joint_tables", "min_disturbance_for_value", "outcome_tables",
+    "projector_weak_values", "quantum_postselection_shift", "richardson_extrapolate", "sample_classical",
+    "sample_classical_sweep", "sample_classical_trace", "sample_joint", "sample_quantum", "sample_quantum_trace",
+    "solve_cv", "sweep_metric", "unconditional_mean", "weak_limit_extrapolate", "weak_value",
+]  # fmt: skip
+
+
+def test_public_api_snapshot():
+    assert sorted(twobox.__all__) == PUBLIC_API
+    modules = (errors, contextual, tables, classical, quantum, analysis, montecarlo)
+    exported = [name for m in modules for name in m.__all__]
+    assert len(exported) == len(set(exported)), "a name is exported by two submodules"
+
+
 def test_moved_names_stay_importable_from_classical():
     assert classical.JointDistribution is twobox.JointDistribution
 

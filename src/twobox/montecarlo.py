@@ -158,7 +158,7 @@ class CountTable:
         message = "counts must be integers, got {}"
         if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"):
             whole = _numbers(counts, message)
-            if not (np.isfinite(whole) & (whole == np.trunc(whole))).all():  # an int64 cast would truncate
+            if not ((np.abs(whole) < 2.0**63) & (whole == np.trunc(whole))).all():  # else int64 truncates or wraps
                 raise ValidationError(message.format(_shown(counts)))
         c = np.array(_numbers(counts, message, np.int64))  # from the input, so ints above 2**53 stay exact
         if c.shape != (2, 2):

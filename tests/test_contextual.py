@@ -159,6 +159,7 @@ HUGE = 10**400  # an int beyond the float range
         (lambda: CountTable([[1.7, 0], [0, 2.9]]), "counts must be integers, got [[1.7, 0], [0, 2.9]]"),
         (lambda: CountTable([[math.nan, 0], [0, 1]]), "counts must be integers, got [[nan, 0], [0, 1]]"),
         (lambda: CountTable(np.array([[math.inf, 0], [0, 1]])), "counts must be integers, got array([[inf"),
+        (lambda: CountTable(np.array([[1e19, 0], [0, 1]])), "counts must be integers, got array([[1.e+19"),
         (lambda: ResponseMatrix([["a", 0], [0, 1]]), "response matrix entries must be probabilities in [0, 1]"),
         (lambda: ResponseMatrix([[HUGE, 0], [0, 1]]), "response matrix entries must be probabilities in [0, 1]"),
         (lambda: solve_cv(ResponseMatrix.symmetric(0.5), ("a", -1.0)), "eigenvalues must be two finite reals, got ('a'"),
